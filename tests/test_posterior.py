@@ -283,6 +283,41 @@ class TestPolySurface:
             np.testing.assert_allclose(H[:, j], fd, rtol=1e-4, atol=1e-6)
 
 
+    def test_value_gradient_hessian_match_dense_oracle(self):
+        from tests.test_suffstats import cwr_rows
+
+        d, M = 10, 6
+        rng = np.random.default_rng(26)
+        iset = enumerate_indices(d, M)
+        coef = rng.normal(0, 1, len(iset))
+        surface = PolySurface(iset, coef)
+        # dense exponent vectors of the canonical order
+        E = np.zeros((len(iset), d), dtype=np.int64)
+        for i, row in enumerate(cwr_rows(d, M)):
+            np.add.at(E[i], row[row >= 0], 1)
+        unit = np.eye(d, dtype=np.int64)
+
+        def mono(theta, exps):
+            return np.prod(theta ** np.maximum(exps, 0), axis=1)
+
+        for _ in range(3):
+            theta = rng.uniform(-0.9, 0.9, d)
+            grad = np.array([coef @ (E[:, j] * mono(theta, E - unit[j])) for j in range(d)])
+            hess = np.array(
+                [
+                    [
+                        coef @ (E[:, j] * (E[:, l] - unit[j, l]) * mono(theta, E - unit[j] - unit[l]))
+                        for l in range(d)
+                    ]
+                    for j in range(d)
+                ]
+            )
+            scale = np.abs(coef).sum()
+            assert surface.value(theta) == pytest.approx(coef @ mono(theta, E), rel=1e-12, abs=1e-13 * scale)
+            np.testing.assert_allclose(surface.gradient(theta), grad, rtol=1e-12, atol=1e-13 * scale)
+            np.testing.assert_allclose(surface.hessian(theta), hess, rtol=1e-12, atol=1e-13 * scale)
+
+
 class TestFlatPriorEquivalence:
     def test_wide_gaussian_approaches_flat_mle(self):
         rng = np.random.default_rng(24)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +13,25 @@ from passglm.errors import (
     InvalidInputError,
     StatsFormatError,
 )
-from passglm.mappings import fit_terms, mapping_logit, mapping_poisson, mapping_shuber
+from passglm.mappings import (
+    fit_terms,
+    get_mapping,
+    mapping_logit,
+    mapping_poisson,
+    mapping_shuber,
+)
 from passglm.suffstats import (
     SuffStats,
     crc32c,
     deserialize,
     enumerate_indices,
+    load_stats,
     merge,
     new_stats,
     serialize,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def dense_key(key, d):
@@ -40,6 +50,18 @@ def oracle_indices(d, M):
     ]
     all_idx.sort(key=lambda k: (sum(k), tuple(-v for v in k)))
     return all_idx
+
+
+def cwr_rows(d, M):
+    """Canonical order as ``itertools.combinations_with_replacement``, degree by
+    degree, padded with -1 to ``M`` columns."""
+    out = np.full((math.comb(d + M, d), M), -1, dtype=np.int64)
+    i = 0
+    for m in range(M + 1):
+        for combo in itertools.combinations_with_replacement(range(d), m):
+            out[i, :m] = combo
+            i += 1
+    return out
 
 
 def oracle_raw_stats(y, X, indices):
@@ -74,6 +96,15 @@ class TestEnumerateIndices:
         iset = enumerate_indices(d, M)
         assert len(iset) == math.comb(d + M, d)
         assert [dense_key(k, d) for k in iset.keys] == oracle_indices(d, M)
+
+    @pytest.mark.parametrize("d,M", [(10, 6), (500, 2)])
+    def test_order_is_combinations_with_replacement_per_degree(self, d, M):
+        iset = enumerate_indices(d, M)
+        rows = np.full((len(iset), M), -1, dtype=np.int64)
+        for i, key in enumerate(iset.keys):
+            flat = [j for j, e in key for _ in range(e)]
+            rows[i, : len(flat)] = flat
+        np.testing.assert_array_equal(rows, cwr_rows(d, M))
 
     def test_position_is_bijection(self, subtests=None):
         for d, M in [(3, 2), (2, 4)]:
@@ -421,3 +452,34 @@ class TestSerialization:
         assert back.same_config(stats)
         merged = merge(stats, back)  # merging with itself must be allowed
         assert merged.n == 2 * stats.n
+
+
+def fixture_records(model, d):
+    """The records behind the committed PGLM v1 fixtures in ``tests/data``."""
+    rng = np.random.default_rng(2017)
+    X = rng.uniform(-0.4, 0.4, (200, d))
+    if model == "poisson":
+        y = rng.poisson(1.3, 200).astype(float)
+    else:
+        y = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+    return y, X
+
+
+# (file, model, d, M, radius); the files were written by the tuple-keyed
+# implementation that preceded the array index set
+PGLM_V1_FIXTURES = [
+    ("poisson_d3_m4.pglm", "poisson", 3, 4, 2.0),
+    ("logit_d4_m2.pglm", "logit", 4, 2, 4.0),
+]
+
+
+class TestFormatFixtures:
+    @pytest.mark.parametrize("name,model,d,M,R", PGLM_V1_FIXTURES)
+    def test_v1_fixture_loads_and_reserializes_bit_for_bit(self, name, model, d, M, R):
+        raw = (DATA / name).read_bytes()
+        stats = load_stats(DATA / name)
+        assert serialize(stats) == raw
+        assert (stats.mapping.name, stats.index_set.d, stats.index_set.M) == (model, d, M)
+        fresh = new_stats(enumerate_indices(d, M), get_mapping(model), R)
+        fresh.accumulate_batch(*fixture_records(model, d))
+        np.testing.assert_allclose(stats.values(), fresh.values(), rtol=1e-12, atol=1e-14)
