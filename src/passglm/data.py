@@ -459,11 +459,11 @@ _FORK_SOURCES = None
 
 
 def _shard_worker(args):
-    shard_id, model, scale, M, radius = args
+    shard_id, model, scale, M, radius, batch_size = args
     mapping = get_mapping(model, scale)
     stream = _FORK_SOURCES[shard_id]
     try:
-        return shard_id, serialize(build_stats(stream, mapping, M, radius))
+        return shard_id, serialize(build_stats(stream, mapping, M, radius, batch_size=batch_size))
     except PassGlmError as exc:
         raise PassGlmError(f"shard {shard_id} failed: {exc}") from exc
 
@@ -481,14 +481,15 @@ def run_sharded(
 
     ``source`` is either a :class:`RecordStream` (partitioned round-robin) or
     a list of file paths (one shard per file when the counts match, otherwise
-    files are distributed round-robin).  With ``shards == 1`` this is exactly
-    the sequential path.  Workers run as forked processes; when fork is
-    unavailable the shards run sequentially in-process, which changes timing
-    but not the result.
+    files are distributed round-robin over at most ``len(source)`` shards).
+    With ``shards == 1`` this is exactly the sequential path.  Workers run as
+    forked processes; when fork is unavailable the shards run sequentially
+    in-process, which changes timing but not the result.
     """
     if shards < 1:
         raise InvalidInputError("shard count must be >= 1")
     if isinstance(source, (list, tuple)):
+        shards = min(shards, max(1, len(source)))
         streams = _file_shards(source, shards, d)
     else:
         if shards == 1:
@@ -501,7 +502,7 @@ def run_sharded(
 
     global _FORK_SOURCES
     _FORK_SOURCES = streams
-    args = [(i, mapping.name, mapping.scale, M, radius) for i in range(shards)]
+    args = [(i, mapping.name, mapping.scale, M, radius, batch_size) for i in range(shards)]
     try:
         if "fork" in mp.get_all_start_methods():
             ctx = mp.get_context("fork")

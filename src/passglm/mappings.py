@@ -86,6 +86,7 @@ class MappingSpec:
     terms: tuple[Term, ...]
     log_base: Callable[[np.ndarray], np.ndarray] | None = None
     label_mode: str | None = None  # "pm1", "01" or None
+    y_domain: str | None = None  # "nonnegative", "positive" or None (any finite label)
     scale: float | None = None
     raw_monomial: bool = False
     log_concave: bool = True
@@ -94,17 +95,31 @@ class MappingSpec:
     def d_args(self) -> int:
         return len(self.terms)
 
-    def canonicalize_y(self, y: np.ndarray) -> np.ndarray:
-        """Map labels to the convention the mapping expects."""
+    def canonicalize_y(self, y: np.ndarray, first_record: int = 0) -> np.ndarray:
+        """Map labels to the convention the mapping expects.
+
+        A label outside the model's domain raises an error naming its record,
+        counted from ``first_record``.
+        """
         y = np.asarray(y, dtype=float)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            i = first_record + int(np.argmax(bad))
+            raise NumericError(f"non-finite label at record {i}", record_index=i)
+        if self.label_mode is not None:
+            ok, rule = np.isin(y, (-1.0, 0.0, 1.0)), "binary labels must be in {-1, 0, +1}"
+        elif self.y_domain == "nonnegative":
+            ok, rule = y >= 0, f"{self.name} labels must be >= 0"
+        elif self.y_domain == "positive":
+            ok, rule = y > 0, f"{self.name} labels must be > 0"
+        else:
+            return y
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise InvalidInputError(f"{rule}; record {first_record + i} has label {y[i]:g}")
         if self.label_mode == "pm1":
-            out = np.where(y > 0, 1.0, -1.0)
-            if not np.all(np.isin(y, (-1.0, 0.0, 1.0))):
-                raise InvalidInputError("binary labels must be in {-1, 0, +1}")
-            return out
+            return np.where(y > 0, 1.0, -1.0)
         if self.label_mode == "01":
-            if not np.all(np.isin(y, (-1.0, 0.0, 1.0))):
-                raise InvalidInputError("binary labels must be in {-1, 0, +1}")
             return np.where(y > 0, 1.0, 0.0)
         return y
 
@@ -153,6 +168,7 @@ def mapping_poisson() -> MappingSpec:
             ),
         ),
         log_base=lambda y: -special.gammaln(np.asarray(y, dtype=float) + 1.0),
+        y_domain="nonnegative",
         log_concave=True,
     )
 
@@ -235,6 +251,7 @@ def mapping_gamma(nu: float = 1.0) -> MappingSpec:
             ),
         ),
         log_base=log_base,
+        y_domain="positive",
         scale=nu,
         log_concave=True,
     )

@@ -193,7 +193,10 @@ def posterior_lr2(stats: SuffStats, approx: PolyApprox, prior: PriorSpec) -> Gau
     d = stats.index_set.d
     vals = stats.values()
     t1 = vals[1 : d + 1]
-    T2 = _degree2_matrix(vals, stats.index_set)
+    pairs = stats.index_set.rows[1 + d :]
+    T2 = np.empty((d, d))
+    T2[pairs[:, 0], pairs[:, 1]] = vals[1 + d :]
+    T2[pairs[:, 1], pairs[:, 0]] = vals[1 + d :]
 
     prec_diag = prior.precision_diag(d)
     precision = -2.0 * b[2] * T2
@@ -204,109 +207,73 @@ def posterior_lr2(stats: SuffStats, approx: PolyApprox, prior: PriorSpec) -> Gau
     return GaussianPosterior(mean=mean, chol=cov_chol, logdet=logdet)
 
 
-def _degree2_matrix(vals: np.ndarray, iset: MultiIndexSet) -> np.ndarray:
-    d = iset.d
-    T2 = np.empty((d, d))
-    pos = 1 + d
-    for i in range(d):
-        block = vals[pos : pos + d - i]
-        T2[i, i:] = block
-        T2[i:, i] = block
-        pos += d - i
-    return T2
-
-
 # --- polynomial surfaces ----------------------------------------------------
+
+
+def _drop_one(rows: np.ndarray):
+    """First-derivative links of the monomials ``rows`` (nondecreasing
+    variables padded with -1): ``d/dtheta_var theta**rows[src] =
+    exponent * theta**reduced`` for each distinct variable of each row."""
+    valid = rows >= 0
+    nxt = np.pad(rows[:, 1:], ((0, 0), (0, 1)), constant_values=-1)
+    src, col = np.nonzero(valid & (rows != nxt))  # last column of each run
+    var = rows[src, col]
+    exponent = (rows[src] == var[:, None]).sum(axis=1)
+    M = rows.shape[1]
+    keep = np.arange(M) + (np.arange(M) >= col[:, None])
+    reduced = np.pad(rows, ((0, 0), (0, 1)), constant_values=-1)[src[:, None], keep]
+    return src, var, exponent, reduced
 
 
 class PolySurface:
     """A polynomial in ``d`` variables over a multi-index set, with gradient
-    and Hessian evaluation."""
+    and Hessian evaluation.
+
+    Derivatives are sums of ``weight * monomial[pos]`` terms scattered into
+    the gradient or the flattened Hessian with ``np.bincount``; the
+    ``(target, weight, pos)`` arrays are built once per surface.
+    """
 
     def __init__(self, index_set: MultiIndexSet, coefficients: np.ndarray):
         self.index_set = index_set
         self.coefficients = np.asarray(coefficients, dtype=float)
         if self.coefficients.shape != (len(index_set),):
             raise InvalidInputError("coefficient vector does not match the index set")
-        self._grad_links = None
-        self._hess_links = None
+        self._links = None
 
     def _monomials(self, theta: np.ndarray) -> np.ndarray:
-        iset = self.index_set
-        parent_pos, parent_var = iset.parents()
-        vals = np.empty(len(iset))
-        vals[0] = 1.0
-        for i in range(1, len(iset)):
-            vals[i] = vals[parent_pos[i]] * theta[parent_var[i]]
-        return vals
+        # the -1 padding picks the appended 1.0
+        return np.prod(np.append(theta, 1.0)[self.index_set.rows], axis=1)
 
     def value(self, theta: np.ndarray) -> float:
         return float(self.coefficients @ self._monomials(theta))
 
-    def _build_links(self):
-        iset = self.index_set
-        grad_links = []
-        hess_links = []
-        for key in iset.keys:
-            g = []
-            h = []
-            entries = dict(key)
-            for j, e in key:
-                reduced = _reduce_key(key, j)
-                g.append((j, iset.position(reduced), float(e)))
-                for l, e2 in entries.items():
-                    if l == j:
-                        if e >= 2:
-                            h.append(
-                                (j, j, float(e * (e - 1)), iset.position(_reduce_key(reduced, j)))
-                            )
-                    elif l > j:
-                        h.append(
-                            (j, l, float(e * e2), iset.position(_reduce_key(reduced, l)))
-                        )
-            grad_links.append(g)
-            hess_links.append(h)
-        self._grad_links = grad_links
-        self._hess_links = hess_links
+    def _derivative_links(self):
+        if self._links is None:
+            iset = self.index_set
+            src, var, exponent, reduced = _drop_one(iset.rows)
+            src2, var2, exponent2, reduced2 = _drop_one(reduced)
+            coef = self.coefficients
+            # integer multipliers keep the Hessian exactly symmetric
+            grad = (var, coef[src] * exponent, iset.position(reduced))
+            hess = (
+                var[src2] * iset.d + var2,
+                coef[src[src2]] * (exponent[src2] * exponent2),
+                iset.position(reduced2),
+            )
+            self._links = (grad, hess)
+        return self._links
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        if self._grad_links is None:
-            self._build_links()
+        target, weight, pos = self._derivative_links()[0]
         mono = self._monomials(theta)
-        grad = np.zeros(self.index_set.d)
-        for coef, links in zip(self.coefficients, self._grad_links):
-            if coef == 0.0:
-                continue
-            for j, pos, e in links:
-                grad[j] += coef * e * mono[pos]
-        return grad
+        return np.bincount(target, weight * mono[pos], minlength=self.index_set.d)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        if self._hess_links is None:
-            self._build_links()
+        target, weight, pos = self._derivative_links()[1]
         mono = self._monomials(theta)
         d = self.index_set.d
-        hess = np.zeros((d, d))
-        for coef, links in zip(self.coefficients, self._hess_links):
-            if coef == 0.0:
-                continue
-            for j, l, mult, pos in links:
-                v = coef * mult * mono[pos]
-                hess[j, l] += v
-                if j != l:
-                    hess[l, j] += v
-        return hess
-
-
-def _reduce_key(key: tuple, var: int) -> tuple:
-    out = []
-    for j, e in key:
-        if j == var:
-            if e > 1:
-                out.append((j, e - 1))
-        else:
-            out.append((j, e))
-    return tuple(out)
+        return np.bincount(target, weight * mono[pos], minlength=d * d).reshape(d, d)
 
 
 def surrogate_loglik_coefficients(stats: SuffStats, approx: PolyApprox | None = None) -> np.ndarray:
@@ -334,21 +301,18 @@ def _surrogate_posterior_surface(
     d = stats.index_set.d
     M = stats.index_set.M
     target_M = max(M, 2) if prior.kind == "gaussian" else M
-    if target_M == M:
-        iset = stats.index_set
-        coef = lik_coef.copy()
-    else:
-        iset = enumerate_indices(d, target_M)
-        coef = np.zeros(len(iset))
-        for key, v in zip(stats.index_set.keys, lik_coef):
-            coef[iset.position(key)] += v
+    # a lower-degree index set is a prefix of a higher-degree one
+    iset = stats.index_set if target_M == M else enumerate_indices(d, target_M)
+    coef = np.zeros(len(iset))
+    coef[: len(lik_coef)] = lik_coef
     if prior.kind == "gaussian":
         prec = prior.precision_diag(d)
         mean = prior.mean_vector(d)
+        squares = np.full((d, target_M), -1)
+        squares[:, :2] = np.arange(d)[:, None]
         coef[0] += -0.5 * float(prec @ (mean * mean))
-        for j in range(d):
-            coef[iset.position(((j, 1),))] += prec[j] * mean[j]
-            coef[iset.position(((j, 2),))] += -0.5 * prec[j]
+        coef[1 : d + 1] += prec * mean
+        coef[iset.position(squares)] += -0.5 * prec
     return PolySurface(iset, coef)
 
 

@@ -1,10 +1,13 @@
 """Polynomial approximate sufficient statistics: enumeration, accumulation, merge.
 
-Statistics are indexed by multi-indices ``k`` with total degree at most ``M``,
-kept in graded lexicographic order (sorted by total degree, then by the dense
-exponent vector, descending).  Multi-indices are stored sparsely as tuples of
-``(position, exponent)`` pairs so that high-dimensional degree-1 sets stay
-cheap.
+Statistics are indexed by multi-indices ``k`` with total degree at most ``M``.
+A multi-index of degree ``m`` is stored as its ``m`` variable indices in
+nondecreasing order, padded with -1 to ``M`` columns, so the whole index set
+is one ``(|K|, M)`` integer array.  Its canonical order is by degree, then,
+within a degree, ``itertools.combinations_with_replacement`` order; for the
+degree-2 block that is ``np.triu_indices(d)`` order.  Positions follow from
+the combinatorial number system, so a lower-degree set is a prefix of every
+higher-degree one.
 
 Two accumulation forms exist:
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,87 +65,82 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHHdQHdQ")
 
 
-def _compositions(total: int, d: int, start: int = 0):
-    """Sparse multi-indices of total degree ``total`` in descending lex order."""
-    if total == 0:
-        yield ()
-        return
-    for pos in range(start, d):
-        for exp in range(total, 0, -1):
-            for rest in _compositions(total - exp, d, pos + 1):
-                yield ((pos, exp), *rest)
+# Upper bound on the (|K|, B) monomial block of one degree >= 3 accumulation step.
+_BLOCK_BYTES = 1 << 24
 
 
 class MultiIndexSet:
     """All multi-indices of dimension ``d`` and total degree at most ``M``.
 
-    Indices are sparse ``((position, exponent), ...)`` tuples in graded
-    lexicographic order.  ``multinom[i]`` caches the multinomial coefficient
-    ``(|k|; k)`` and ``degrees[i]`` the total degree of index ``i``.
+    ``rows`` is a ``(|K|, M)`` int64 array: row ``i`` lists the variables of
+    index ``i`` in nondecreasing order, padded with -1.  ``degrees[i]`` is its
+    total degree, ``multinom[i]`` the multinomial coefficient ``(|k|; k)`` and
+    ``offsets[m]`` the position of the first index of degree ``m``.
     """
 
-    def __init__(self, d: int, M: int, keys: list, degrees: np.ndarray, multinom: np.ndarray):
+    def __init__(self, d: int, M: int, rows: np.ndarray):
         self.d = d
         self.M = M
-        self.keys = keys
-        self.degrees = degrees
-        self.multinom = multinom
-        self._pos: dict | None = None
-        self._parents: tuple[np.ndarray, np.ndarray] | None = None
+        self.rows = rows
+        self.offsets = np.array(
+            [0] + [math.comb(d + m - 1, m - 1) for m in range(1, M + 2)], dtype=np.int64
+        )
+        self.degrees = np.repeat(np.arange(M + 1), np.diff(self.offsets))
+        # run[:, i] counts the copies of rows[:, i] among rows[:, :i + 1]
+        run = np.ones(rows.shape, dtype=np.int64)
+        for i in range(1, M):
+            run[:, i] = np.where(rows[:, i] == rows[:, i - 1], run[:, i - 1] + 1, 1)
+        denom = np.where(rows >= 0, run, 1).prod(axis=1)
+        factorial = np.array([math.factorial(m) for m in range(M + 1)], dtype=float)
+        self.multinom = factorial[self.degrees] / denom
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiIndexSet) and self.d == other.d and self.M == other.M
         )
 
-    def position(self, key: tuple) -> int:
-        """Position of a sparse multi-index in the canonical order."""
-        if self.M <= 2:
-            return self._position_m2(key)
-        if self._pos is None:
-            self._pos = {k: i for i, k in enumerate(self.keys)}
-        return self._pos[key]
+    def position(self, rows) -> np.ndarray:
+        """Positions of multi-indices given as rows shaped like ``self.rows``
+        (nondecreasing variables padded with -1, any leading shape).
 
-    def _position_m2(self, key: tuple) -> int:
-        d = self.d
-        if key == ():
-            return 0
-        if len(key) == 1:
-            j, e = key[0]
-            if e == 1:
-                return 1 + j
-            # e == 2
-            return 1 + d + j * d - j * (j - 1) // 2
-        (i, _), (j, _) = key
-        return 1 + d + i * d - i * (i - 1) // 2 + (j - i)
+        This is the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3):
+        the rows of degree ``m`` that follow row ``a`` and first differ from it
+        in column ``i`` are the nondecreasing ``(m - i)``-tuples of variables
+        above ``a_i``.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[-1:] != (self.M,):
+            raise InvalidInputError(f"multi-index rows must have {self.M} columns, got {rows.shape}")
+        valid = rows >= 0
+        m = valid.sum(axis=-1)
+        after = np.where(valid, self._tails[rows, m[..., None] - np.arange(self.M)], 0)
+        return self.offsets[m + 1] - 1 - after.sum(axis=-1)
 
-    def pair_position(self, i: int, j: int) -> int:
-        """Position of the degree-2 index with unit exponents at ``i <= j``
-        (or exponent 2 when ``i == j``).  Only valid for ``M >= 2``."""
-        return 1 + self.d + i * self.d - i * (i - 1) // 2 + (j - i)
+    @cached_property
+    def _tails(self) -> np.ndarray:
+        """``_tails[a, k]``: the number of nondecreasing ``k``-tuples of the
+        ``d - 1 - a`` variables above ``a``."""
+        above = self.d - 1 - np.arange(self.d)
+        out = np.ones((self.d, self.M + 1), dtype=np.int64)
+        for k in range(1, self.M + 1):
+            out[:, k] = out[:, k - 1] * (above + k - 1) // k
+        return out
 
-    def parents(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays ``(parent_pos, parent_var)`` such that every index equals its
-        parent index times the variable ``parent_var``; entry 0 is unused."""
-        if self._parents is None:
-            n = len(self.keys)
-            parent_pos = np.zeros(n, dtype=np.int64)
-            parent_var = np.zeros(n, dtype=np.int64)
-            for i in range(1, n):
-                key = self.keys[i]
-                (p, e) = key[0]
-                reduced = ((p, e - 1), *key[1:]) if e > 1 else key[1:]
-                parent_pos[i] = self.position(reduced)
-                parent_var[i] = p
-            self._parents = (parent_pos, parent_var)
-        return self._parents
+    @cached_property
+    def parent(self) -> np.ndarray:
+        """Position of every index with its last variable dropped (0 for the
+        constant): index ``i`` is ``parent[i]`` times ``rows[i, degrees[i] - 1]``."""
+        prefix = self.rows.copy()
+        hit = np.flatnonzero(self.degrees > 0)
+        prefix[hit, self.degrees[hit] - 1] = -1
+        return self.position(prefix)
 
 
 def enumerate_indices(d: int, M: int, cap: int = DEFAULT_INDEX_CAP) -> MultiIndexSet:
-    """Enumerate the full graded-lex multi-index set for ``(d, M)``.
+    """Enumerate the full multi-index set for ``(d, M)`` in canonical order.
 
     Raises :class:`CapacityError` when ``binomial(d + M, d)`` exceeds ``cap``;
     reduce the dimension first (e.g. with a sparse random projection).
@@ -157,20 +155,19 @@ def enumerate_indices(d: int, M: int, cap: int = DEFAULT_INDEX_CAP) -> MultiInde
             f"index set for d={d}, M={M} has {count} entries, exceeding the cap "
             f"{cap}; reduce the dimension (sparse random projection) or raise the cap"
         )
-    keys: list = []
-    for m in range(M + 1):
-        keys.extend(_compositions(m, d))
-    assert len(keys) == count
-    degrees = np.fromiter(
-        (sum(e for _, e in k) for k in keys), dtype=np.int64, count=count
-    )
-    multinom = np.empty(count)
-    for i, k in enumerate(keys):
-        v = math.factorial(int(degrees[i]))
-        for _, e in k:
-            v //= math.factorial(e)
-        multinom[i] = float(v)
-    return MultiIndexSet(d=d, M=M, keys=keys, degrees=degrees, multinom=multinom)
+    # each degree-m row extends a degree-(m - 1) row by one variable >= its last
+    blocks = [np.full((1, M), -1, dtype=np.int64)]
+    prev, low = blocks[0][:, :0], np.zeros(1, dtype=np.int64)
+    for m in range(1, M + 1):
+        counts = d - low
+        src = np.repeat(np.arange(len(prev)), counts)
+        ends = np.cumsum(counts)
+        low = np.arange(ends[-1]) - np.repeat(ends - counts, counts) + low[src]
+        prev = np.column_stack([prev[src], low])
+        blocks.append(np.pad(prev, ((0, 0), (0, M - m)), constant_values=-1))
+    rows = np.concatenate(blocks)
+    assert len(rows) == count
+    return MultiIndexSet(d, M, rows)
 
 
 def _kahan_add(t: np.ndarray, comp: np.ndarray, delta) -> None:
@@ -178,13 +175,6 @@ def _kahan_add(t: np.ndarray, comp: np.ndarray, delta) -> None:
     s = t + y
     comp[:] = (s - t) - y
     t[:] = s
-
-
-def _kahan_add_at(t: np.ndarray, comp: np.ndarray, pos: int, delta: float) -> None:
-    y = delta - comp[pos]
-    s = t[pos] + y
-    comp[pos] = (s - t[pos]) - y
-    t[pos] = s
 
 
 class SuffStats:
@@ -273,51 +263,10 @@ class SuffStats:
     def accumulate(self, y: float, x) -> "SuffStats":
         """Absorb one record.  ``x`` is a dense 1-D array or an
         ``(indices, values)`` pair of sparse coordinates."""
-        idx, vals = _as_sparse(x, self.index_set.d)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("non-finite covariate value", record_index=self.n)
-        y = float(self.mapping.canonicalize_y(np.asarray([y]))[0])
-        self._check_norm([float(vals @ vals)])
+        dense = _as_dense(x, self.index_set.d)
+        return self.accumulate_batch(np.asarray([y], dtype=float), dense[None, :])
 
-        iset = self.index_set
-        if iset.M <= 2:
-            self._accumulate_sparse_m2(y, idx, vals)
-        else:
-            dense = np.zeros(iset.d)
-            dense[idx] = vals
-            self.accumulate_batch(np.asarray([y]), dense[None, :], _canonicalized=True)
-            return self
-        self.n += 1
-        return self
-
-    def _accumulate_sparse_m2(self, y: float, idx: np.ndarray, vals: np.ndarray) -> None:
-        iset = self.index_set
-        t, comp = self.t, self.comp
-        if self.mapping.raw_monomial:
-            z = y * vals
-            _kahan_add_at(t, comp, 0, 1.0)
-            if iset.M >= 1:
-                for j, v in zip(idx, z):
-                    _kahan_add_at(t, comp, 1 + j, v)
-            if iset.M >= 2:
-                for a in range(len(idx)):
-                    for bpos in range(a, len(idx)):
-                        pos = iset.pair_position(int(idx[a]), int(idx[bpos]))
-                        _kahan_add_at(t, comp, pos, z[a] * z[bpos])
-        else:
-            g = degree_weights(self.mapping, self.approxes, np.asarray([y]))[0]
-            _kahan_add_at(t, comp, 0, g[0])
-            if iset.M >= 1:
-                for j, v in zip(idx, vals):
-                    _kahan_add_at(t, comp, 1 + j, g[1] * v)
-            if iset.M >= 2:
-                for a in range(len(idx)):
-                    for bpos in range(a, len(idx)):
-                        pos = iset.pair_position(int(idx[a]), int(idx[bpos]))
-                        mult = 1.0 if a == bpos else 2.0
-                        _kahan_add_at(t, comp, pos, mult * g[2] * vals[a] * vals[bpos])
-
-    def accumulate_batch(self, y: np.ndarray, X: np.ndarray, _canonicalized=False) -> "SuffStats":
+    def accumulate_batch(self, y: np.ndarray, X: np.ndarray) -> "SuffStats":
         """Absorb a batch of records given as dense arrays ``y: (B,)``, ``X: (B, d)``."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -328,55 +277,54 @@ class SuffStats:
         if not np.all(np.isfinite(X)):
             bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
             raise NumericError("non-finite covariate value", record_index=self.n + bad)
-        if not _canonicalized:
-            y = self.mapping.canonicalize_y(y)
+        y = self.mapping.canonicalize_y(y, first_record=self.n)
         self._check_norm((X * X).sum(axis=1))
 
         iset = self.index_set
-        B = X.shape[0]
+        base = y[:, None] * X if self.mapping.raw_monomial else X
+        G = None if self.mapping.raw_monomial else degree_weights(self.mapping, self.approxes, y)
         if iset.M <= 2:
-            delta = self._batch_delta_m2(y, X)
+            _kahan_add(self.t, self.comp, self._batch_delta_m2(base, G))
         else:
-            parent_pos, parent_var = iset.parents()
-            cols = np.empty((B, len(iset)))
-            cols[:, 0] = 1.0
-            base = y[:, None] * X if self.mapping.raw_monomial else X
-            for i in range(1, len(iset)):
-                np.multiply(cols[:, parent_pos[i]], base[:, parent_var[i]], out=cols[:, i])
-            if self.mapping.raw_monomial:
-                delta = cols.sum(axis=0)
-            else:
-                G = degree_weights(self.mapping, self.approxes, y)
-                delta = iset.multinom * np.einsum("bi,bi->i", cols, G[:, iset.degrees])
-        _kahan_add(self.t, self.comp, delta)
-        self.n += B
+            step = max(1, _BLOCK_BYTES // (8 * len(iset)))
+            for lo in range(0, len(y), step):
+                sub = None if G is None else G[lo : lo + step]
+                _kahan_add(self.t, self.comp, self._block_delta(base[lo : lo + step], sub))
+        self.n += len(y)
         return self
 
-    def _batch_delta_m2(self, y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Degree <= 2 batch update via one rank-B matrix product."""
+    def _batch_delta_m2(self, base: np.ndarray, G: np.ndarray | None) -> np.ndarray:
+        """Degree <= 2 batch update via one rank-B matrix product, whose upper
+        triangle is the degree-2 block."""
         iset = self.index_set
-        d = iset.d
-        if self.mapping.raw_monomial:
-            Z = y[:, None] * X
-            parts = [np.asarray([float(len(y))])]
-            if iset.M >= 1:
-                parts.append(Z.sum(axis=0))
-            if iset.M >= 2:
-                G2 = Z.T @ Z
-                parts.extend(G2[i, i:] for i in range(d))
-            return np.concatenate(parts)
-        G = degree_weights(self.mapping, self.approxes, y)
-        parts = [np.asarray([G[:, 0].sum()])]
+        raw = G is None
+        parts = [np.asarray([len(base) if raw else G[:, 0].sum()], dtype=float)]
         if iset.M >= 1:
-            parts.append(X.T @ G[:, 1])
+            parts.append(base.sum(axis=0) if raw else base.T @ G[:, 1])
         if iset.M >= 2:
-            G2 = X.T @ (G[:, 2, None] * X)
-            # the multinomial coefficient is 2 for mixed pairs, 1 on the diagonal
-            for i in range(d):
-                row = 2.0 * G2[i, i:]
-                row[0] = G2[i, i]
-                parts.append(row)
-        return np.concatenate(parts)
+            G2 = base.T @ (base if raw else G[:, 2, None] * base)
+            pairs = iset.rows[iset.offsets[2] :]
+            parts.append(G2[pairs[:, 0], pairs[:, 1]])
+        delta = np.concatenate(parts)
+        return delta if raw else iset.multinom * delta
+
+    def _block_delta(self, base: np.ndarray, G: np.ndarray | None) -> np.ndarray:
+        """Degree >= 3 update of one block of records: the monomials of every
+        index are built as a row-major (|K|, B) array, one gathered product
+        per degree, so no (B, |K|) array is formed."""
+        iset = self.index_set
+        Z = np.ascontiguousarray(base.T)
+        mono = np.empty((len(iset), Z.shape[1]))
+        mono[0] = 1.0
+        delta = np.empty(len(iset))
+        delta[0] = Z.shape[1] if G is None else G[:, 0].sum()
+        for m in range(1, iset.M + 1):
+            lo, hi = iset.offsets[m], iset.offsets[m + 1]
+            block = mono[lo:hi]
+            np.take(mono, iset.parent[lo:hi], axis=0, out=block)
+            block *= Z[iset.rows[lo:hi, m - 1]]
+            delta[lo:hi] = block.sum(axis=1) if G is None else block @ G[:, m]
+        return delta if G is None else iset.multinom * delta
 
     # -- merging -------------------------------------------------------------
 
@@ -394,21 +342,20 @@ class SuffStats:
         return out
 
 
-def _as_sparse(x, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _as_dense(x, d: int) -> np.ndarray:
     if isinstance(x, tuple) and len(x) == 2:
         idx = np.asarray(x[0], dtype=np.int64)
-        vals = np.asarray(x[1], dtype=float)
-    else:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim != 1:
-            raise InvalidInputError("covariate must be a vector or (indices, values)")
-        if arr.size != d:
-            raise InvalidInputError(f"covariate has dimension {arr.size}, expected {d}")
-        idx = np.flatnonzero(arr)
-        vals = arr[idx]
-    if idx.size and (idx.min() < 0 or idx.max() >= d):
-        raise InvalidInputError(f"covariate index out of range for dimension {d}")
-    return idx, vals
+        if idx.size and (idx.min() < 0 or idx.max() >= d):
+            raise InvalidInputError(f"covariate index out of range for dimension {d}")
+        dense = np.zeros(d)
+        dense[idx] = x[1]
+        return dense
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise InvalidInputError("covariate must be a vector or (indices, values)")
+    if arr.size != d:
+        raise InvalidInputError(f"covariate has dimension {arr.size}, expected {d}")
+    return arr
 
 
 def new_stats(
@@ -496,15 +443,21 @@ def deserialize(data: bytes, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
     name = _MODEL_NAMES.get(model_id)
     if name is None:
         raise StatsFormatError(f"unknown model id {model_id}")
-    mapping = get_mapping(name, scale if scale > 0 else None)
-    index_set = enumerate_indices(d, M, cap=cap)
-    count = len(index_set)
+    # check the header against the payload before building its index set;
+    # the count stops once it passes the payload, so a hostile header is cheap
     payload = body[_HEADER.size :]
-    if len(payload) != 8 * count:
+    entries = len(payload) // 8
+    count = 1
+    for m in range(1, M + 1):
+        count = count * (d + m) // m
+        if count > entries:
+            break
+    if d < 1 or len(payload) != 8 * count:
         raise StatsFormatError(
-            f"payload holds {len(payload) // 8} entries, expected {count}"
+            f"payload holds {entries} entries, but d={d}, M={M} needs binomial(d + M, d)"
         )
-    stats = SuffStats(index_set, mapping, radius)
+    mapping = get_mapping(name, scale if scale > 0 else None)
+    stats = SuffStats(enumerate_indices(d, M, cap=cap), mapping, radius)
     stats.t = np.frombuffer(payload, dtype="<f8").astype(float)
     stats.comp = np.zeros(count)
     stats.n = int(n)

@@ -8,6 +8,7 @@ import pytest
 from passglm.data import (
     ArrayStream,
     LibsvmStream,
+    RecordStream,
     ProjectionSpec,
     SyntheticStream,
     build_stats,
@@ -268,6 +269,40 @@ class TestRunSharded:
             ArrayStream(np.concatenate(all_y), np.vstack(all_X)), mapping_logit(), 2, 4.0
         )
         np.testing.assert_allclose(sharded.values(), sequential.values(), rtol=1e-12)
+
+    def test_batch_size_reaches_shard_workers(self):
+        base = self._dataset(1000)
+
+        class FixedBatches(RecordStream):
+            d = base.d
+
+            def _iter_batches(self, batch_size):
+                assert batch_size == 64, f"worker read batches of {batch_size}"
+                yield from base._iter_batches(batch_size)
+
+        sharded = run_sharded(FixedBatches(), 2, mapping_logit(), 2, 4.0, batch_size=64)
+        sequential = build_stats(base, mapping_logit(), 2, 4.0)
+        np.testing.assert_allclose(sharded.values(), sequential.values(), rtol=1e-12)
+
+    def test_one_file_uses_one_stream(self, tmp_path, monkeypatch):
+        import passglm.data as data
+
+        rng = np.random.default_rng(9)
+        path = tmp_path / "only.svm"
+        write_libsvm(path, np.where(rng.random(300) < 0.5, 1.0, -1.0), rng.uniform(-0.4, 0.4, (300, 4)))
+        made = []
+        file_shards = data._file_shards
+
+        def recording(*args):
+            made.append(file_shards(*args))
+            return made[-1]
+
+        monkeypatch.setattr(data, "_file_shards", recording)
+        sharded = run_sharded([str(path)], 2, mapping_logit(), 2, 4.0, d=4)
+        assert [len(streams) for streams in made] == [1]
+        sequential = build_stats(parse_libsvm(path, d=4), mapping_logit(), 2, 4.0)
+        np.testing.assert_array_equal(sharded.values(), sequential.values())
+        assert sharded.n == 300
 
     def test_shard_count_validation(self):
         with pytest.raises(InvalidInputError):

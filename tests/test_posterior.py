@@ -192,10 +192,11 @@ class TestPosteriorGeneral:
         vals = stats.values()
         d = 2
         t1 = vals[1 : d + 1]
+        pos = stats.index_set.position
         T2 = np.array(
             [
-                [vals[stats.index_set.pair_position(0, 0)], vals[stats.index_set.pair_position(0, 1)]],
-                [vals[stats.index_set.pair_position(0, 1)], vals[stats.index_set.pair_position(1, 1)]],
+                [vals[pos([0, 0])], vals[pos([0, 1])]],
+                [vals[pos([0, 1])], vals[pos([1, 1])]],
             ]
         )
         expected = np.linalg.solve(-2.0 * b[2] * T2, b[1] * t1)

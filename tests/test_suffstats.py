@@ -11,6 +11,7 @@ from passglm.errors import (
     CapacityError,
     ConfigMismatchError,
     InvalidInputError,
+    NumericError,
     StatsFormatError,
 )
 from passglm.mappings import (
@@ -34,11 +35,9 @@ from passglm.suffstats import (
 DATA = Path(__file__).parent / "data"
 
 
-def dense_key(key, d):
-    out = [0] * d
-    for j, e in key:
-        out[j] = e
-    return tuple(out)
+def dense_key(row, d):
+    """Dense exponent vector of a multi-index row (variables padded with -1)."""
+    return tuple(int(e) for e in np.bincount(row[row >= 0], minlength=d))
 
 
 def oracle_indices(d, M):
@@ -80,12 +79,12 @@ def oracle_raw_stats(y, X, indices):
 class TestEnumerateIndices:
     def test_d2_m2_explicit(self):
         iset = enumerate_indices(2, 2)
-        dense = [dense_key(k, 2) for k in iset.keys]
+        dense = [dense_key(r, 2) for r in iset.rows]
         assert dense == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
     def test_d1_m3(self):
         iset = enumerate_indices(1, 3)
-        assert [dense_key(k, 1) for k in iset.keys] == [(0,), (1,), (2,), (3,)]
+        assert [dense_key(r, 1) for r in iset.rows] == [(0,), (1,), (2,), (3,)]
 
     def test_large_d_linear_statistics(self):
         iset = enumerate_indices(20_000, 1)
@@ -95,29 +94,27 @@ class TestEnumerateIndices:
     def test_cardinality_and_order(self, d, M):
         iset = enumerate_indices(d, M)
         assert len(iset) == math.comb(d + M, d)
-        assert [dense_key(k, d) for k in iset.keys] == oracle_indices(d, M)
+        assert [dense_key(r, d) for r in iset.rows] == oracle_indices(d, M)
 
     @pytest.mark.parametrize("d,M", [(10, 6), (500, 2)])
     def test_order_is_combinations_with_replacement_per_degree(self, d, M):
         iset = enumerate_indices(d, M)
-        rows = np.full((len(iset), M), -1, dtype=np.int64)
-        for i, key in enumerate(iset.keys):
-            flat = [j for j, e in key for _ in range(e)]
-            rows[i, : len(flat)] = flat
-        np.testing.assert_array_equal(rows, cwr_rows(d, M))
+        np.testing.assert_array_equal(iset.rows, cwr_rows(d, M))
 
     def test_position_is_bijection(self, subtests=None):
         for d, M in [(3, 2), (2, 4)]:
             iset = enumerate_indices(d, M)
-            for i, key in enumerate(iset.keys):
-                assert iset.position(key) == i
+            for i, row in enumerate(iset.rows):
+                assert iset.position(row) == i
+            np.testing.assert_array_equal(iset.position(iset.rows), np.arange(len(iset)))
 
     def test_multinomial_cache(self):
         iset = enumerate_indices(3, 3)
-        for key, m in zip(iset.keys, iset.multinom):
-            kbar = sum(e for _, e in key)
+        for row, m in zip(iset.rows, iset.multinom):
+            exps = dense_key(row, 3)
+            kbar = sum(exps)
             denom = 1
-            for _, e in key:
+            for e in exps:
                 denom *= math.factorial(e)
             assert m == math.factorial(kbar) / denom
 
@@ -147,8 +144,8 @@ class TestAccumulate:
         with pytest.warns(UserWarning, match="norm"):
             stats.accumulate(-1.0, np.array([1.0, 2.0]))
         vals = stats.values()
-        assert vals[iset.position(((0, 1),))] == -1.0
-        assert vals[iset.position(((0, 2),))] == 1.0
+        assert vals[iset.position([0, -1])] == -1.0
+        assert vals[iset.position([0, 0])] == 1.0
 
     def test_sparse_and_dense_records_agree(self):
         iset = enumerate_indices(4, 2)
@@ -222,6 +219,27 @@ class TestAccumulate:
         with pytest.raises(Exception, match="non-finite"):
             stats.accumulate(1.0, np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize(
+        "model,label,error",
+        [
+            ("poisson", np.nan, NumericError),
+            ("shuber", np.inf, NumericError),
+            ("poisson", -3.0, InvalidInputError),
+            ("gamma", -1.0, InvalidInputError),
+        ],
+    )
+    def test_label_outside_model_domain_names_record(self, model, label, error):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-0.4, 0.4, (10, 2))
+        y = np.ones(10)
+        stats = new_stats(enumerate_indices(2, 2), get_mapping(model), 2.0)
+        stats.accumulate_batch(y[:4], X[:4])
+        y[7] = label
+        with pytest.raises(error, match="record 7"):
+            stats.accumulate_batch(y[4:], X[4:])
+        assert stats.n == 4
+        assert np.all(np.isfinite(stats.values()))
+
 
 class TestSurrogateIdentity:
     """Central correctness property: the statistics reassemble the surrogate
@@ -237,10 +255,10 @@ class TestSurrogateIdentity:
 
         def value(theta):
             total = 0.0
-            for key, c in zip(iset.keys, coef):
+            for row, c in zip(iset.rows, coef):
                 v = c
-                for j, e in key:
-                    v *= theta[j] ** e
+                for j in row[row >= 0]:
+                    v *= theta[j]
                 total += v
             return total
 
@@ -439,6 +457,26 @@ class TestSerialization:
         body = bytes(payload[:-4])
         with pytest.raises(StatsFormatError, match="version"):
             deserialize(body + struct.pack("<I", _crc(body)))
+
+    def test_header_checked_before_index_set_is_built(self, monkeypatch):
+        import struct
+
+        import passglm.suffstats as suffstats
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("index set built for a header the payload contradicts")
+
+        # 54 bytes whose header claims d = 2000, M = 2 over a single entry
+        body = suffstats._HEADER.pack(b"PGLM", 1, 1, 0.0, 2000, 2, 4.0, 0) + bytes(8)
+        payload = body + struct.pack("<I", crc32c(body))
+        assert len(payload) == 54
+        monkeypatch.setattr(suffstats, "enumerate_indices", refuse)
+        with pytest.raises(StatsFormatError, match="entries"):
+            deserialize(payload)
+
+    def test_capacity_cap_applies_to_payload(self):
+        with pytest.raises(CapacityError):
+            deserialize(serialize(self._sample_stats()), cap=5)
 
     def test_general_form_round_trip_refits_coefficients(self):
         rng = np.random.default_rng(7)
