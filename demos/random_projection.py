@@ -2,9 +2,9 @@
 
 Degree-2 statistics cost O(d^2) memory, which is fine at d = 1,000 but not
 at d = 2,000,000.  The projection maps records into a lower dimension on the
-fly; its matrix is never stored because every column is regenerated from a
-counter-based seed, so train and test data project identically even across
-processes.
+fly; only the columns the records use are stored, each drawn from a
+counter-based seed when first used, so train and test data project
+identically even across processes.
 
 The synthetic task has 20 informative features (denser than the background,
 as informative features tend to be) among 5,000.

@@ -14,6 +14,7 @@ import multiprocessing as mp
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidInputError, PassGlmError
 from .mappings import MappingSpec, get_mapping
@@ -129,12 +130,78 @@ class ArrayStream(RecordStream):
         return len(self.y)
 
 
+# Characters of text read per parse window (whole lines; ``readlines`` hint).
+_WINDOW_CHARS = 1 << 18
+# Upper bound on the bytes of one dense (rows, d) float64 batch.
+_BATCH_BYTES = 1 << 26
+
+# Byte classes of the window parser: 0 whitespace, 1 newline, 2 token byte,
+# 3 colon.  Whitespace is what ``str.split``/``strip`` take as whitespace in
+# ASCII, the separators \x1c-\x1f included (non-ASCII text is never classed).
+_BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
+_BYTE_CLASS[[9, 11, 12, 13, 28, 29, 30, 31, 32]] = 0
+_BYTE_CLASS[10] = 1
+_BYTE_CLASS[58] = 3
+
+
+def _parse_window(lines: list[str]):
+    """Parse whole libsvm lines with numpy: ``(y, indptr, idx, vals)`` with
+    0-based indices and raw labels, or ``None`` when any line is malformed or
+    the text is not ASCII.  Tokens are split where ``str.split`` splits them
+    and every number goes through the same ``int``/``float`` as
+    ``LibsvmStream._parse_line``, so an accepted window gives the same records
+    bit for bit."""
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    if "#" in text:
+        text = "".join(ln for ln in lines if not ln.lstrip().startswith("#"))
+    cls = _BYTE_CLASS[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    edge = np.diff((cls >= 2).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    line = np.searchsorted(np.flatnonzero(cls == 1), starts)
+    is_label = np.ones(starts.size, dtype=bool)
+    is_label[1:] = line[1:] != line[:-1]
+    # a label holds no colon; a feature exactly one, with text on both sides
+    feature = ~is_label
+    colons = np.flatnonzero(cls == 3)
+    first = np.searchsorted(colons, starts)
+    if np.any(np.searchsorted(colons, ends) - first != feature):
+        return None
+    colon = colons[first[feature]]
+    if np.any((colon <= starts[feature]) | (colon >= ends[feature] - 1)):
+        return None
+    # with colons as spaces, str.split gives label, (index, value)* per record
+    tokens = np.array(text.replace(":", " ").split(), dtype=object)
+    at = np.cumsum(1 + feature) - (1 + feature)
+    try:
+        y = np.fromiter(map(float, tokens[at[is_label]]), dtype=float)
+        pos = np.fromiter(map(int, tokens[at[feature]]), dtype=np.int64)
+        vals = np.fromiter(map(float, tokens[at[feature] + 1]), dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    idx = pos - 1  # checked 1-based first, as pos - 1 can wrap
+    same = line[feature][1:] == line[feature][:-1]
+    if np.any(pos < 1) or np.any(same & (idx[1:] <= idx[:-1])):
+        return None
+    record = np.cumsum(is_label)[feature] - 1
+    indptr = np.zeros(y.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(record, minlength=y.size), out=indptr[1:])
+    return y, indptr, idx, vals
+
+
 class LibsvmStream(RecordStream):
     """Streaming reader of libsvm/svmlight files.
 
     Labels may be remapped for binary models (``labels="pm1"`` or ``"01"``);
     1-based file indices become 0-based.  In strict mode a malformed line
     aborts with its line number; in lenient mode it is skipped and counted.
+
+    The file is read in windows of whole lines, each parsed with numpy; a
+    window with a malformed line or non-ASCII text is parsed again line by
+    line by :meth:`_parse_line`, the one grammar, and the bad line is named
+    (strict) or skipped and counted (lenient).  Batches hold at most
+    ``batch_size`` rows and at most ``_BATCH_BYTES`` of dense covariates.
     """
 
     def __init__(self, path, d: int | None = None, labels: str = "raw", strict: bool = True):
@@ -151,25 +218,56 @@ class LibsvmStream(RecordStream):
         # metadata discovery scan; counted as a pass for honesty
         self.passes += 1
         max_idx = 0
-        for _, idx, _ in self._parse_lines():
+        for _, _, idx, _ in self._windows():
             if idx.size:
                 max_idx = max(max_idx, int(idx.max()) + 1)
         return max_idx
 
-    def _parse_lines(self):
+    def _windows(self, limit: int | None = None):
+        """Yield ``(y, indptr, idx, vals)`` per window of lines; with
+        ``limit``, an index at or above it is an error, raised in record order."""
+        read = 0  # lines before this window
         with open(self.path, "r") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    yield self._parse_line(line)
-                except ValueError as exc:
-                    if self.strict:
-                        raise InvalidInputError(
-                            f"{self.path}:{lineno}: malformed record: {exc}"
-                        ) from None
-                    self.skipped += 1
+            while lines := fh.readlines(_WINDOW_CHARS):
+                window = _parse_window(lines)
+                if window is None:
+                    window = self._reparse(lines, read, limit)
+                y, indptr, idx, vals = window
+                if limit is not None and np.any(idx >= limit):
+                    # the first record holding one; its last index is its largest
+                    rec = np.searchsorted(indptr, np.argmax(idx >= limit), side="right") - 1
+                    _check_limit(idx[indptr[rec + 1] - 1], limit)
+                if self.labels == "pm1":
+                    y = np.where(y > 0, 1.0, -1.0)
+                elif self.labels == "01":
+                    y = np.where(y > 0, 1.0, 0.0)
+                yield y, indptr, idx, vals
+                read += len(lines)
+
+    def _reparse(self, lines: list[str], read: int, limit: int | None):
+        """Parse a window line by line with :meth:`_parse_line`; malformed
+        lines raise with their number (strict) or are skipped and counted."""
+        ys, idxs, vals = [], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        for lineno, line in enumerate(lines, start=read + 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                y, idx, val = self._parse_line(line)
+            except (ValueError, OverflowError) as exc:  # an index past int64 overflows
+                if self.strict:
+                    raise InvalidInputError(
+                        f"{self.path}:{lineno}: malformed record: {exc}"
+                    ) from None
+                self.skipped += 1
+                continue
+            if limit is not None and idx.size:
+                _check_limit(idx.max(), limit)
+            ys.append(y)
+            idxs.append(idx)
+            vals.append(val)
+        indptr = np.cumsum([0] + [i.size for i in idxs[1:]], dtype=np.int64)
+        return np.array(ys, dtype=float), indptr, np.concatenate(idxs), np.concatenate(vals)
 
     def _parse_line(self, line: str):
         parts = line.split()
@@ -187,33 +285,38 @@ class LibsvmStream(RecordStream):
             prev = j
             idx[i] = j
             vals[i] = float(val)
-        if self.labels == "pm1":
-            y = 1.0 if y > 0 else -1.0
-        elif self.labels == "01":
-            y = 1.0 if y > 0 else 0.0
         return y, idx, vals
 
     def _iter_batches(self, batch_size: int):
-        ys, rows = [], []
-        for y, idx, vals in self._parse_lines():
-            if idx.size and idx.max() >= self.d:
-                raise InvalidInputError(
-                    f"index {int(idx.max()) + 1} exceeds declared dimension {self.d}"
-                )
-            row = np.zeros(self.d)
-            row[idx] = vals
-            ys.append(y)
-            rows.append(row)
-            if len(ys) == batch_size:
-                yield np.asarray(ys), np.asarray(rows)
-                ys, rows = [], []
-        if ys:
-            yield np.asarray(ys), np.asarray(rows)
+        rows = max(1, min(batch_size, _BATCH_BYTES // (8 * max(self.d, 1))))
+        y_out, X, filled = np.empty(rows), np.zeros((rows, self.d)), 0
+        for y, indptr, idx, vals in self._windows(limit=self.d):
+            lo = 0
+            while lo < len(y):
+                take = min(rows - filled, len(y) - lo)
+                span = slice(indptr[lo], indptr[lo + take])
+                at = filled + np.repeat(np.arange(take), np.diff(indptr[lo : lo + take + 1]))
+                X[at, idx[span]] = vals[span]
+                y_out[filled : filled + take] = y[lo : lo + take]
+                filled += take
+                lo += take
+                if filled == rows:
+                    yield y_out, X
+                    y_out, X, filled = np.empty(rows), np.zeros((rows, self.d)), 0
+        if filled:
+            yield y_out[:filled], X[:filled]
 
     def iter_records(self):
         self.passes += 1
-        for y, idx, vals in self._parse_lines():
-            yield y, (idx, vals)
+        for y, indptr, idx, vals in self._windows():
+            for i in range(len(y)):
+                lo, hi = indptr[i], indptr[i + 1]
+                yield float(y[i]), (idx[lo:hi], vals[lo:hi])
+
+
+def _check_limit(top: int, limit: int) -> None:
+    if top >= limit:
+        raise InvalidInputError(f"index {int(top) + 1} exceeds declared dimension {limit}")
 
 
 def parse_libsvm(path, d: int | None = None, labels: str = "raw", strict: bool = True) -> LibsvmStream:
@@ -350,8 +453,8 @@ class ProjectionSpec:
 
     Entries take the values ``+-sqrt(s/k)`` with probability ``1/(2s)`` each
     (zero otherwise) where ``s = sqrt(input_dim)``; columns are realized
-    lazily from a counter-based generator keyed on ``(seed, column)`` so the
-    matrix is never stored.
+    lazily from a counter-based generator keyed on ``(seed, column)`` so only
+    the rows of the matrix that a stream uses are ever stored.
     """
 
     seed: int
@@ -363,38 +466,49 @@ class ProjectionSpec:
         return math.sqrt(self.input_dim)
 
     def column(self, j: int) -> np.ndarray:
-        if not (0 <= j < self.input_dim):
+        """Row ``j`` of the ``(input_dim, output_dim)`` projection matrix."""
+        return self._rows([j])[j].toarray()[0]
+
+    def _input_rows(self, rows) -> np.ndarray:
+        """``rows`` as int64, after checking that each is an input index."""
+        rows = np.asarray(rows, dtype=np.int64)
+        out = (rows < 0) | (rows >= self.input_dim)
+        if out.any():
             raise InvalidInputError(
-                f"covariate index {j} exceeds projection input dimension {self.input_dim}"
+                f"covariate index {rows[out][0]} exceeds projection input dimension {self.input_dim}"
             )
-        rng = np.random.default_rng(np.random.Philox(key=[self.seed, j]))
-        u = rng.random(self.output_dim)
+        return rows
+
+    def _rows(self, rows) -> sp.csr_matrix:
+        """The ``(input_dim, output_dim)`` projection matrix with only the
+        given rows filled.  Row ``j`` is drawn from ``Philox(key=[seed, j])``
+        from its start; one bit generator is re-keyed per row."""
+        rows = self._input_rows(rows)
+        bits = np.random.Philox(key=[self.seed, 0])
+        gen = np.random.Generator(bits)
+        start = bits.state
+        u = np.empty((rows.size, self.output_dim))
+        for r, j in enumerate(rows):
+            start["state"]["key"][1] = j
+            bits.state = start
+            gen.random(out=u[r])
         s = self.sparsity
+        hit = np.nonzero(u < 1.0 / s)
         mag = math.sqrt(s / self.output_dim)
-        col = np.zeros(self.output_dim)
-        col[u < 0.5 / s] = mag
-        col[(u >= 0.5 / s) & (u < 1.0 / s)] = -mag
-        return col
-
-
-class _ColumnCache:
-    def __init__(self, spec: ProjectionSpec, maxsize: int = 4096):
-        self.spec = spec
-        self.maxsize = maxsize
-        self._cache: dict[int, np.ndarray] = {}
-
-    def get(self, j: int) -> np.ndarray:
-        col = self._cache.get(j)
-        if col is None:
-            if len(self._cache) >= self.maxsize:
-                self._cache.pop(next(iter(self._cache)))
-            col = self.spec.column(j)
-            self._cache[j] = col
-        return col
+        vals = np.where(u[hit] < 0.5 / s, mag, -mag)
+        return sp.csr_matrix(
+            (vals, (rows[hit[0]], hit[1])), shape=(self.input_dim, self.output_dim)
+        )
 
 
 class ProjectedStream(RecordStream):
-    """Stream view applying a sparse random projection to every record."""
+    """Stream view applying a sparse random projection to every record.
+
+    Each batch is one sparse product with the rows of the projection matrix
+    its records use; rows are drawn once, when first used, and kept for the
+    stream's lifetime.  Each term of an output entry is added in increasing
+    input index order, as a per-record sum of columns would add them.
+    """
 
     def __init__(self, base: RecordStream, spec: ProjectionSpec):
         if spec.input_dim < base.d:
@@ -405,29 +519,46 @@ class ProjectedStream(RecordStream):
         self.base = base
         self.spec = spec
         self.d = spec.output_dim
-        self._cols = _ColumnCache(spec)
+        self._matrix = sp.csr_matrix((spec.input_dim, spec.output_dim))
+        self._drawn = np.zeros(spec.input_dim, dtype=bool)
         self.passes = 0
 
+    def _product(self, A: sp.csr_matrix) -> np.ndarray:
+        new = np.unique(A.indices[~self._drawn[A.indices]])
+        if new.size:
+            self._matrix = self._matrix + self.spec._rows(new)
+            self._drawn[new] = True
+        return (A @ self._matrix).toarray()
+
     def project_record(self, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.spec.output_dim)
-        for j, v in zip(idx, vals):
-            out += v * self._cols.get(int(j))
-        return out
+        idx = self.spec._input_rows(idx)
+        row = sp.csr_matrix(
+            (np.asarray(vals, dtype=float), idx, [0, idx.size]), shape=(1, self.spec.input_dim)
+        )
+        return self._product(row)[0]
 
     def _iter_batches(self, batch_size: int):
         for y, X in self.base._iter_batches(batch_size):
-            X = np.asarray(X)
-            out = np.zeros((X.shape[0], self.spec.output_dim))
-            for i in range(X.shape[0]):
-                row = X[i]
-                nz = np.flatnonzero(row)
-                out[i] = self.project_record(nz, row[nz])
-            yield y, out
+            yield y, self._product(_csr(X))
 
     def batches(self, batch_size: int = DEFAULT_BATCH):
         self.passes += 1
         self.base.passes += 1
         yield from self._iter_batches(batch_size)
+
+    def shard(self, index: int, count: int) -> "ProjectedStream":
+        """Project only the records of the base stream's shard."""
+        return ProjectedStream(self.base.shard(index, count), self.spec)
+
+
+def _csr(X: np.ndarray) -> sp.csr_matrix:
+    """CSR form of a dense batch (what ``sp.csr_matrix(X)`` gives, found
+    through a boolean mask, which numpy scans several times faster)."""
+    flat = np.ravel(X)
+    at = np.flatnonzero(flat != 0)
+    rows, cols = np.divmod(at, X.shape[1])
+    indptr = np.searchsorted(rows, np.arange(X.shape[0] + 1))
+    return sp.csr_matrix((flat[at], cols, indptr), shape=X.shape)
 
 
 def project(stream: RecordStream, spec: ProjectionSpec) -> ProjectedStream:

@@ -385,24 +385,89 @@ def merge(a: SuffStats, b: SuffStats) -> SuffStats:
 
 
 @lru_cache(maxsize=1)
-def _crc32c_table() -> tuple:
-    poly = 0x82F63B78
-    table = []
-    for i in range(256):
-        c = i
-        for _ in range(8):
-            c = (c >> 1) ^ poly if c & 1 else c >> 1
-        table.append(c)
-    return tuple(table)
+def _crc32c_table() -> np.ndarray:
+    poly = np.uint32(0x82F63B78)
+    c = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        c = np.where(c & 1, (c >> 1) ^ poly, c >> 1)
+    return c
+
+
+# Lanes fed in lockstep; more lanes mean fewer, longer numpy steps.
+_CRC_LANES = 1 << 14
+# _BYTE_BITS[v, b] is bit b of the byte v; _UNIT[b] is the register 1 << b.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+_UNIT = np.uint32(1) << np.arange(32, dtype=np.uint32)
+
+
+def _shift_tables(cols: np.ndarray) -> np.ndarray:
+    """Byte tables of the GF(2)-linear map on 32-bit CRC registers whose
+    image of bit ``b`` is ``cols[b]``: ``(4, 256)``, one table per register byte."""
+    picked = np.where(_BYTE_BITS[None, :, :], cols.reshape(4, 1, 8), np.uint32(0))
+    return np.bitwise_xor.reduce(picked, axis=2)
+
+
+def _apply(tables: np.ndarray, reg):
+    """Apply the linear map given by its byte tables to register(s) ``reg``."""
+    return (
+        tables[0][reg & 0xFF]
+        ^ tables[1][(reg >> 8) & 0xFF]
+        ^ tables[2][(reg >> 16) & 0xFF]
+        ^ tables[3][reg >> 24]
+    )
+
+
+@lru_cache(maxsize=64)
+def _zeros_operator(k: int) -> np.ndarray:
+    """Byte tables of the map that feeds ``2**k`` zero bytes through a raw
+    CRC-32C register, built by repeated squaring as in zlib's
+    ``crc32_combine`` (never by feeding the zero bytes)."""
+    if k == 0:
+        return _shift_tables((_UNIT >> 8) ^ _crc32c_table()[_UNIT & 0xFF])
+    half = _zeros_operator(k - 1)
+    return _shift_tables(_apply(half, _apply(half, _UNIT)))
+
+
+def _feed_zeros(reg: int, count: int) -> int:
+    """Raw register after ``count`` zero bytes, one squared operator per set bit."""
+    reg = np.uint32(reg)
+    k = 0
+    while count:
+        if count & 1:
+            reg = _apply(_zeros_operator(k), reg)
+        count >>= 1
+        k += 1
+    return int(reg)
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C (Castagnoli) checksum."""
+    """CRC-32C (Castagnoli) checksum; ``crc`` continues an earlier checksum,
+    so ``crc32c(b, crc32c(a)) == crc32c(a + b)``.
+
+    The raw (un-inverted) register is linear over GF(2) in its start value
+    and the bytes.  So the data, left-padded with zero bytes (which leave a
+    zero register at zero), is cut into equal lanes that are fed through the
+    byte table in lockstep from a zero register; adjacent lane registers are
+    then combined pairwise with zero-byte shift operators, and the shifted
+    start register is added last.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = buf.size
+    lanes = min(_CRC_LANES, 1 << max(0, n - 1).bit_length())
+    length = -(-n // lanes)
+    step = max(0, length - 1).bit_length()  # lanes of 2**step bytes
+    length = 1 << step
+    block = np.zeros(lanes * length, dtype=np.uint8)
+    block[block.size - n :] = buf
+    cols = np.ascontiguousarray(block.reshape(lanes, length).T)
     table = _crc32c_table()
-    crc ^= 0xFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    reg = np.zeros(lanes, dtype=np.uint32)
+    for col in cols:
+        reg = (reg >> 8) ^ table[(reg ^ col) & 0xFF]
+    while len(reg) > 1:
+        reg = _apply(_zeros_operator(step), reg[0::2]) ^ reg[1::2]
+        step += 1
+    return (_feed_zeros(crc ^ 0xFFFFFFFF, n) ^ int(reg[0])) ^ 0xFFFFFFFF
 
 
 def serialize(stats: SuffStats) -> bytes:

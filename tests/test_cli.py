@@ -69,6 +69,25 @@ class TestStatsCommands:
         direct = build_stats(ArrayStream(y, X), mapping_logit(), 2, 4.0)
         np.testing.assert_allclose(stats.values(), direct.values(), rtol=1e-15)
 
+    def test_build_reads_messy_text_like_clean(self, dataset, tmp_path):
+        path, y, X = dataset
+        clean = path.read_text().splitlines()
+        messy = ["# written by hand", ""]
+        for i, line in enumerate(clean):
+            messy.append(line.replace(" ", "\t") if i % 3 == 0 else line)
+            if i % 50 == 0:
+                messy += ["   ", "  # a comment 1:2"]
+        messy_path = tmp_path / "messy.svm"
+        messy_path.write_bytes("\r\n".join(messy).encode())  # CRLF, no final newline
+        built = []
+        for source in (path, messy_path):
+            out = tmp_path / f"{source.stem}.pglm"
+            assert run("stats", "build", "--input", source, "--model", "logit", "--degree", 2,
+                       "--radius", 4, "--dim", 3, "--out", out) == 0
+            built.append(load_stats(out))
+        assert built[0].n == built[1].n == len(y)
+        np.testing.assert_allclose(built[1].values(), built[0].values(), rtol=1e-12)
+
     def test_cli_shard_merge_equals_in_process(self, dataset, tmp_path):
         path, y, X = dataset
         # split the file into three shards, build each via the CLI

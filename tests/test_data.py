@@ -4,7 +4,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import passglm.data as data
 from passglm.data import (
     ArrayStream,
     LibsvmStream,
@@ -83,6 +86,157 @@ class TestParseLibsvm:
         assert stream.d == 5
         assert stream.passes == 1
 
+    def test_index_beyond_declared_dimension_names_first_record(self, tmp_path):
+        path = tmp_path / "h.svm"
+        path.write_text("+1 1:1\n-1 2:1 4:1\n+1 9:1\n")
+        with pytest.raises(InvalidInputError, match="index 4 exceeds declared dimension 3"):
+            parse_libsvm(path, d=3).materialize()
+
+
+def line_oracle(stream):
+    """What a line-at-a-time read of ``stream``'s file gives: the records of
+    ``_parse_line`` with labels remapped, the strict-mode error message (or
+    None) and the lenient skip count."""
+    remap = {"raw": lambda y: y, "pm1": lambda y: 1.0 if y > 0 else -1.0,
+             "01": lambda y: 1.0 if y > 0 else 0.0}[stream.labels]
+    records, skipped = [], 0
+    with open(stream.path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                y, idx, vals = stream._parse_line(line)
+                records.append((remap(y), idx, vals))
+            except (ValueError, OverflowError) as exc:
+                if stream.strict:
+                    return records, f"{stream.path}:{lineno}: malformed record: {exc}", 0
+                skipped += 1
+    return records, None, skipped
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\x0b", "\x0c"])
+_LABELS = st.sampled_from(["+1", "-1", "1", "0", "1e-3", "-2.5", "3", "+0.25", "1_0", "nan"])
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["1e-3", "+.5", "-0", "1E+2", "0.1000000000000000055511151231257827"]),
+)
+# a mutation replaces one token of a record, or adds text to its end
+_MUTATIONS = st.sampled_from(
+    ["1:", ":1", "a:b", "1:2:3", "0:1", "-1:2", "x", "1.5:2", "#", "1:nan\u00e9",
+     "\u00e92:1", "2:1\x1c3:1", "99999999999999999999999:1", "-9223372036854775808:1",
+     "1:2\x85", "+2:1"]
+)
+
+
+@st.composite
+def libsvm_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["record"] * 6 + ["comment", "blank", "mutated", "decreasing"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + "# note 3:4 a:b")
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t ", "\x0c"])))
+            continue
+        idx = sorted(draw(st.sets(st.integers(1, 30), max_size=6)))
+        if kind == "decreasing" and len(idx) >= 2:
+            idx[-2], idx[-1] = idx[-1], idx[-2]
+        tokens = [draw(_LABELS)] + [f"{j}:{draw(_VALUES)}" for j in idx]
+        if kind == "mutated":
+            at = draw(st.integers(0, len(tokens)))
+            tokens[at:at + 1] = [draw(_MUTATIONS)]
+        sep = draw(_SEPARATORS)
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(tokens) + draw(st.sampled_from(["", " ", "\t"])))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no final newline
+    return text
+
+
+class TestWindowParser:
+    """The numpy window parser against the line-at-a-time grammar."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=libsvm_text(), labels=st.sampled_from(["raw", "pm1", "01"]),
+           strict=st.booleans(), window=st.sampled_from([1, 40, 1 << 20]))
+    @example(text="1 -9223372036854775808:1\n", labels="raw", strict=True, window=1 << 20)
+    def test_equals_line_parser(self, tmp_path, monkeypatch, text, labels, strict, window):
+        path = tmp_path / "h.svm"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(data, "_WINDOW_CHARS", window)
+        stream = LibsvmStream(path, d=31, labels=labels, strict=strict)
+        want, error, skipped = line_oracle(stream)
+        if error is not None:
+            with pytest.raises(InvalidInputError) as info:
+                list(stream.iter_records())
+            assert str(info.value) == error
+            return
+        got = list(stream.iter_records())
+        assert stream.skipped == skipped
+        assert len(got) == len(want)
+        for (y, (idx, vals)), (wy, widx, wvals) in zip(got, want):
+            assert bits(y) == bits(wy)
+            np.testing.assert_array_equal(idx, widx)
+            np.testing.assert_array_equal(bits(vals), bits(wvals))
+        # the same records as dense batches, across window and batch edges
+        ys, X = [], []
+        for yb, Xb in stream.batches(batch_size=3):
+            assert len(yb) <= 3
+            ys.append(yb)
+            X.append(Xb)
+        dense = np.zeros((len(want), 31))
+        for i, (_, widx, wvals) in enumerate(want):
+            dense[i, widx] = wvals
+        if want:
+            np.testing.assert_array_equal(bits(np.concatenate(ys)), bits([w[0] for w in want]))
+            np.testing.assert_array_equal(bits(np.vstack(X)), bits(dense))
+
+    def test_usual_text_stays_on_the_window_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "usual.svm"
+        path.write_bytes(b"# header 1:2\r\n\r\n+1\t1:0.5 3:2\r\n  # note\r\n-1 2:1e-3\x1c3:4 \r\n0")
+
+        def refuse(*args):
+            raise AssertionError("window parsed line by line")
+
+        monkeypatch.setattr(LibsvmStream, "_reparse", refuse)
+        y, X = parse_libsvm(path, d=3).materialize()
+        np.testing.assert_array_equal(y, [1.0, -1.0, 0.0])
+        np.testing.assert_array_equal(X, [[0.5, 0.0, 2.0], [0.0, 1e-3, 4.0], [0.0, 0.0, 0.0]])
+
+    def test_batches_stay_under_the_byte_cap(self, tmp_path):
+        rng = np.random.default_rng(10)
+        n, D = 1000, 20_000
+        cols = [np.sort(rng.choice(D, 20, replace=False)) for _ in range(n)]
+        vals = [rng.standard_normal(20) for _ in range(n)]
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        path = tmp_path / "wide.svm"
+        with open(path, "w") as fh:
+            for i in range(n):
+                cells = " ".join(f"{j + 1}:{v:.17g}" for j, v in zip(cols[i], vals[i]))
+                fh.write(f"{int(y[i])} {cells}\n")
+        stream = parse_libsvm(path, d=D)
+        want, _, _ = line_oracle(stream)
+        seen = 0
+        # compared batch by batch: a 1,000 x 20,000 materialize is 160 MB
+        for yb, Xb in stream.batches(batch_size=8192):
+            assert Xb.nbytes <= data._BATCH_BYTES
+            for i in range(len(yb)):
+                wy, widx, wvals = want[seen + i]
+                assert yb[i] == wy
+                np.testing.assert_array_equal(np.flatnonzero(Xb[i]), widx)
+                np.testing.assert_array_equal(Xb[i, widx], wvals)
+            seen += len(yb)
+        assert seen == n
+
 
 class TestProjection:
     def test_zero_vector_maps_to_zero(self):
@@ -130,10 +284,63 @@ class TestProjection:
         rhs = a * apply(x1) + b * apply(x2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_columns_are_the_seeded_philox_draws(self):
+        # each column is Philox(key=[seed, j]) from its start, thresholded
+        spec = ProjectionSpec(seed=11, input_dim=400, output_dim=300)
+        s = spec.sparsity
+        for j in (0, 1, 7, 399):
+            u = np.random.default_rng(np.random.Philox(key=[11, j])).random(300)
+            want = np.where(u < 0.5 / s, math.sqrt(s / 300), 0.0)
+            want[(u >= 0.5 / s) & (u < 1.0 / s)] = -math.sqrt(s / 300)
+            np.testing.assert_array_equal(spec.column(j), want)
+
+    def test_batch_product_equals_sum_of_columns(self):
+        rng = np.random.default_rng(12)
+        D, k = 3000, 40
+        spec = ProjectionSpec(seed=13, input_dim=D, output_dim=k)
+        X = np.where(rng.random((30, D)) < 0.01, rng.normal(0, 1, (30, D)), 0.0)
+        _, P = project(ArrayStream(np.ones(30), X), spec).materialize()
+        for i in range(30):
+            want = np.zeros(k)
+            for j in np.flatnonzero(X[i]):
+                want += X[i, j] * spec.column(j)
+            np.testing.assert_array_equal(bits(P[i]), bits(want))
+
+    def test_shard_projects_only_its_records(self):
+        rng = np.random.default_rng(14)
+        D, k = 2000, 30
+        spec = ProjectionSpec(seed=15, input_dim=D, output_dim=k)
+        X = np.where(rng.random((101, D)) < 0.01, rng.uniform(-0.1, 0.1, (101, D)), 0.0)
+        y = np.where(rng.random(101) < 0.5, 1.0, -1.0)
+        whole = project(ArrayStream(y, X), spec)
+        _, P = whole.materialize()
+
+        class Rows(RecordStream):  # a stream without a shard of its own
+            d = D
+
+            def _iter_batches(self, batch_size):
+                for lo in range(0, 101, batch_size):
+                    yield y[lo : lo + batch_size], X[lo : lo + batch_size]
+
+        for i in range(2):
+            part = project(Rows(), spec).shard(i, 2)
+            assert isinstance(part, data.ProjectedStream)
+            yp, Pp = part.materialize()
+            np.testing.assert_array_equal(yp, y[i::2])
+            np.testing.assert_array_equal(bits(Pp), bits(P[i::2]))
+        sharded = run_sharded(project(Rows(), spec), 2, mapping_logit(), 2, 4.0, batch_size=16)
+        sequential = build_stats(whole, mapping_logit(), 2, 4.0)
+        scale = np.maximum(1e-30, np.abs(sequential.values()))
+        assert np.max(np.abs(sharded.values() - sequential.values()) / scale) <= 1e-10
+        assert sharded.n == 101
+
     def test_out_of_range_index_rejected(self):
         spec = ProjectionSpec(seed=7, input_dim=10, output_dim=5)
         with pytest.raises(InvalidInputError, match="dimension"):
             spec.column(10)
+        stream = project(ArrayStream(np.ones(1), np.zeros((1, 10))), spec)
+        with pytest.raises(InvalidInputError, match="dimension"):
+            stream.project_record(np.array([3, 10]), np.array([1.0, 1.0]))
 
     def test_expected_entry_distribution(self):
         spec = ProjectionSpec(seed=8, input_dim=10_000, output_dim=2000)

@@ -35,6 +35,20 @@ from passglm.suffstats import (
 DATA = Path(__file__).parent / "data"
 
 
+def crc32c_bytewise(data: bytes, crc: int = 0) -> int:
+    """CRC-32C (Castagnoli) one byte at a time, the reference for ``crc32c``."""
+    table = []
+    for i in range(256):
+        c = i
+        for _ in range(8):
+            c = (c >> 1) ^ 0x82F63B78 if c & 1 else c >> 1
+        table.append(c)
+    crc ^= 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
 def dense_key(row, d):
     """Dense exponent vector of a multi-index row (variables padded with -1)."""
     return tuple(int(e) for e in np.bincount(row[row >= 0], minlength=d))
@@ -423,6 +437,19 @@ class TestSerialization:
 
     def test_crc32c_known_vector(self):
         assert crc32c(b"123456789") == 0xE3069283
+
+    def test_crc32c_matches_byte_loop(self):
+        data = np.random.default_rng(8).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+        for n in range(4101):
+            assert crc32c(data[:n]) == crc32c_bytewise(data[:n]), n
+        assert crc32c(data) == crc32c_bytewise(data)
+        assert crc32c(bytearray(data[:77])) == crc32c_bytewise(data[:77])
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.binary(max_size=3000), b=st.binary(max_size=3000))
+    def test_crc32c_continues_an_earlier_checksum(self, a, b):
+        assert crc32c(b, crc32c(a)) == crc32c(a + b)
+        assert crc32c(b, crc32c_bytewise(a)) == crc32c_bytewise(b, crc32c_bytewise(a))
 
     def test_round_trip_is_bit_exact(self):
         stats = self._sample_stats()
