@@ -40,7 +40,7 @@ from .data import (
     write_libsvm,
 )
 from .errors import PassGlmError
-from .mappings import fit_terms, get_mapping
+from .mappings import MAPPING_FACTORIES, fit_terms, get_mapping
 from .metrics import compare_posteriors, inner_product_histogram, roc_auc, test_nll
 from .posterior import GaussianPosterior, PriorSpec, posterior_general, posterior_lr2
 from .suffstats import load_stats, merge, save_stats
@@ -48,43 +48,6 @@ from .suffstats import load_stats, merge, save_stats
 SCHEMA_VERSION = 1
 
 log = logging.getLogger("passglm")
-
-_APPROX_MODELS = ("logit", "poisson-exp", "shuber", "probit", "gamma")
-_STATS_MODELS = ("logit", "poisson", "shuber", "cauchy", "gamma", "probit")
-
-
-def _approx_phi(model: str, scale: float):
-    from scipy.special import log_ndtr
-
-    if model == "logit":
-        return lambda s: -np.logaddexp(0.0, -s)
-    if model == "poisson-exp":
-        return lambda s: -np.exp(s)
-    if model == "shuber":
-        return lambda s: -(scale**2) * (np.sqrt(1.0 + (s / scale) ** 2) - 1.0)
-    if model == "probit":
-        return lambda s: log_ndtr(-np.asarray(s, dtype=float))
-    if model == "gamma":
-        return lambda s: -scale * np.exp(-np.asarray(s, dtype=float))
-    raise PassGlmError(f"unknown approximation model {model!r}")
-
-
-def _approx_bound(model: str, R: float, M: int, scale: float):
-    if model == "logit":
-        return chebyshev.sup_bound_logit(R, M)
-    if model == "poisson-exp":
-        return chebyshev.sup_bound_exp(R, M)
-    if model == "gamma":
-        rep = chebyshev.sup_bound_exp(R, M)
-        return chebyshev.BoundReport(
-            r=rep.r,
-            C=scale * rep.C,
-            sup_bound=scale * rep.sup_bound,
-            deriv_bound=scale * rep.deriv_bound,
-        )
-    if model == "shuber":
-        return chebyshev.sup_bound_shuber(R, M, scale)
-    return None  # no analytic ellipse bound for probit
 
 
 def _write_json(payload: dict, out: str | None):
@@ -140,9 +103,10 @@ def _open_input(args, mapping) -> "ArrayStream":
 
 
 def cmd_approx(args) -> int:
-    phi = _approx_phi(args.model, args.bscale)
-    approx = chebyshev.fit_chebyshev(phi, args.degree, args.radius)
-    bound = _approx_bound(args.model, args.radius, args.degree, args.bscale)
+    # the model's first term that a polynomial does not represent exactly
+    term = next(t for t in get_mapping(args.model, args.bscale).terms if t.exact_degree is None)
+    approx = chebyshev.fit_chebyshev(term.phi, args.degree, args.radius)
+    bound = term.bound(args.radius, args.degree)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model": args.model,
@@ -313,10 +277,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_common_model_flags(p, models=_STATS_MODELS):
-    p.add_argument("--model", required=True, choices=models)
+def _add_common_model_flags(p):
+    p.add_argument("--model", required=True, choices=list(MAPPING_FACTORIES))
     p.add_argument("--bscale", type=float, default=1.0,
-                   help="scale parameter for shuber/cauchy/gamma models")
+                   help="scale parameter of the models whose factory takes one")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,17 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="passglm",
         description="Polynomial approximate sufficient statistics for GLMs",
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("PASSGLM_THREADS", "0")) or None,
-                        help="worker count hint (PASSGLM_THREADS env as fallback)")
     parser.add_argument("--seed", dest="default_seed", metavar="SEED", type=int,
                         default=0, help="global default seed")
     parser.add_argument("--log-level", default="WARNING",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("approx", help="fit a polynomial approximation and its error bounds")
-    _add_common_model_flags(p, _APPROX_MODELS)
+    p = sub.add_parser(
+        "approx", help="fit a polynomial approximation of a model's first non-polynomial term"
+    )
+    _add_common_model_flags(p)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--out")
@@ -384,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--posterior", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--test")
-    p.add_argument("--model", default="logit", choices=_STATS_MODELS)
+    p.add_argument("--model", default="logit", choices=list(MAPPING_FACTORIES))
     p.add_argument("--bscale", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=4.0)
     p.add_argument("--out")
@@ -413,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=20)
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--radius", type=float, default=4.0)
-    p.add_argument("--shards", type=int, default=None)
+    p.add_argument("--shards", type=int, default=os.cpu_count() or 1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
@@ -427,8 +390,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, args.log_level))
     if getattr(args, "seed", None) is None:
         args.seed = args.default_seed
-    if args.command == "bench" and args.shards is None:
-        args.shards = args.threads or os.cpu_count() or 1
     try:
         return args.func(args)
     except PassGlmError as exc:

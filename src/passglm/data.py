@@ -348,52 +348,14 @@ def _ball_covariates(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return z * radii[:, None]
 
 
-def _draw_labels(rng: np.random.Generator, model: str, s: np.ndarray, scale: float | None):
-    if model == "logit":
-        p = 1.0 / (1.0 + np.exp(-s))
-        return np.where(rng.random(s.size) < p, 1.0, -1.0)
-    if model == "probit":
-        from scipy.special import ndtr
-
-        return (rng.random(s.size) < ndtr(s)).astype(float)
-    if model == "poisson":
-        return rng.poisson(np.exp(s)).astype(float)
-    if model == "gamma":
-        nu = scale if scale is not None else 1.0
-        return rng.gamma(shape=nu, scale=np.exp(s) / nu)
-    if model == "cauchy":
-        b = scale if scale is not None else 1.0
-        return s + b * rng.standard_cauchy(s.size)
-    if model == "shuber":
-        b = scale if scale is not None else 1.0
-        return s + _sample_smoothed_huber_noise(rng, s.size, b)
-    raise InvalidInputError(f"no synthetic generator for model {model!r}")
-
-
-def _sample_smoothed_huber_noise(rng: np.random.Generator, n: int, b: float) -> np.ndarray:
-    """Rejection sampling from the density proportional to
-    exp(-b^2 (sqrt(1 + v^2/b^2) - 1)), using a Laplace envelope."""
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = 2 * (n - filled) + 16
-        v = rng.laplace(scale=1.0 / b, size=m)
-        log_accept = b * np.abs(v) - b**2 * np.sqrt(1.0 + (v / b) ** 2)
-        keep = v[np.log(rng.random(m)) < log_accept]
-        take = min(keep.size, n - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out
-
-
 def synthesize_arrays(model: str, d: int, n: int, seed: int, theta_true, scale: float | None = None):
     """Generate ``(y, X)`` from the named model with covariates uniform in the
     unit ball."""
+    sample = get_mapping(model, scale).sample
     theta_true = np.broadcast_to(np.asarray(theta_true, dtype=float), (d,))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     X = _ball_covariates(rng, n, d)
-    y = _draw_labels(rng, model, X @ theta_true, scale)
-    return y, X
+    return sample(rng, X @ theta_true), X
 
 
 class SyntheticStream(RecordStream):
@@ -408,6 +370,7 @@ class SyntheticStream(RecordStream):
         self.scale = scale
         self.theta_true = np.broadcast_to(np.asarray(theta_true, dtype=float), (d,)).copy()
         self.passes = 0
+        self._sample = get_mapping(model, scale).sample
 
     def _iter_batches(self, batch_size: int):
         produced = 0
@@ -416,8 +379,7 @@ class SyntheticStream(RecordStream):
             take = min(batch_size, self.n - produced)
             rng = np.random.default_rng(np.random.SeedSequence([self.seed, 1 + block]))
             X = _ball_covariates(rng, take, self.d)
-            y = _draw_labels(rng, self.model, X @ self.theta_true, self.scale)
-            yield y, X
+            yield self._sample(rng, X @ self.theta_true), X
             produced += take
             block += 1
 
@@ -586,13 +548,15 @@ def build_stats(
     return stats
 
 
-_FORK_SOURCES = None
+# (shard streams, mapping) of the running ``run_sharded`` call; forked workers
+# inherit it instead of receiving it pickled
+_FORK_JOB = None
 
 
 def _shard_worker(args):
-    shard_id, model, scale, M, radius, batch_size = args
-    mapping = get_mapping(model, scale)
-    stream = _FORK_SOURCES[shard_id]
+    shard_id, M, radius, batch_size = args
+    streams, mapping = _FORK_JOB
+    stream = streams[shard_id]
     try:
         return shard_id, serialize(build_stats(stream, mapping, M, radius, batch_size=batch_size))
     except PassGlmError as exc:
@@ -628,12 +592,14 @@ def run_sharded(
         streams = [source.shard(i, shards) for i in range(shards)]
     if shards == 1:
         return build_stats(streams[0], mapping, M, radius, batch_size=batch_size)
-    if mapping.name not in ("logit", "poisson", "shuber", "cauchy", "gamma", "probit"):
-        raise InvalidInputError("sharded execution requires a registered model name")
+    if mapping.model_id is None:
+        raise InvalidInputError(
+            f"sharded execution requires a registered model; mapping {mapping.name!r} has no model id"
+        )
 
-    global _FORK_SOURCES
-    _FORK_SOURCES = streams
-    args = [(i, mapping.name, mapping.scale, M, radius, batch_size) for i in range(shards)]
+    global _FORK_JOB
+    _FORK_JOB = streams, mapping
+    args = [(i, M, radius, batch_size) for i in range(shards)]
     try:
         if "fork" in mp.get_all_start_methods():
             ctx = mp.get_context("fork")
@@ -642,7 +608,7 @@ def run_sharded(
         else:
             results = [_shard_worker(a) for a in args]
     finally:
-        _FORK_SOURCES = None
+        _FORK_JOB = None
     results.sort(key=lambda pair: pair[0])
     merged = None
     for _, payload in results:

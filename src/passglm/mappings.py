@@ -1,4 +1,4 @@
-"""GLM mapping functions and their term decompositions.
+"""GLM mapping functions, their term decompositions and the model registry.
 
 Every supported GLM writes its per-record log-likelihood as a sum of terms
 
@@ -9,13 +9,23 @@ that lets an order-``M`` polynomial approximation of each ``phi`` turn the
 log-likelihood into an inner product between monomial statistics of the data
 and monomials of the parameter.
 
-The logistic mapping is special-cased throughout the package: since its label
-enters only through ``y * x`` and ``y**2 = 1``, the statistics can be stored
-as raw monomial sums with the polynomial coefficients applied later.
+This module is the one place that knows which models exist.  Each factory in
+:data:`MAPPING_FACTORIES` returns a :class:`MappingSpec` carrying every
+per-model fact: its terms, each term's analytic error bound (``Term.bound``),
+its label convention, its PGLM v1 file id (``model_id``) and its label
+sampler (``sample``).  The file format, the synthetic generators, the sharded
+path and the command line all read these fields, so a new model is one
+factory with a fresh ``model_id``.
+
+A mapping with ``raw_monomial`` set (the logistic one) is special-cased
+throughout the package: since its label enters only through ``y * x`` and
+``y**2 = 1``, the statistics can be stored as raw monomial sums with the
+polynomial coefficients applied later.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +33,14 @@ from typing import Callable
 import numpy as np
 from scipy import special, sparse
 
-from .chebyshev import PolyApprox, fit_chebyshev
+from .chebyshev import (
+    BoundReport,
+    PolyApprox,
+    fit_chebyshev,
+    sup_bound_exp,
+    sup_bound_logit,
+    sup_bound_shuber,
+)
 from .errors import InvalidInputError, NumericError
 
 __all__ = [
@@ -41,11 +58,14 @@ __all__ = [
     "log_likelihood",
     "log_likelihood_grad",
     "log_likelihood_hess",
-    "y_coefficient",
     "degree_weights",
 ]
 
 _PROBE_GRID = np.linspace(-15.0, 15.0, 61)
+
+
+def _no_bound(R: float, M: int) -> None:
+    return None
 
 
 @dataclass(frozen=True)
@@ -53,7 +73,9 @@ class Term:
     """One additive component of a GLM log-likelihood.
 
     ``y_power`` and ``y_in_arg_power`` are restricted to {0, 1}; ``y_offset``
-    is the coefficient of the ``y`` shift inside the argument.
+    is the coefficient of the ``y`` shift inside the argument.  ``bound(R, M)``
+    is the analytic sup-error bound of the degree-``M`` Chebyshev fit of
+    ``phi`` on ``[-R, R]``, or ``None`` where no ellipse bound is known.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -63,6 +85,7 @@ class Term:
     y_in_arg_power: int = 0
     y_offset: float = 0.0
     exact_degree: int | None = None  # set when phi is itself a polynomial
+    bound: Callable[[float, int], BoundReport | None] = _no_bound
 
     def __post_init__(self):
         if self.y_power not in (0, 1) or self.y_in_arg_power not in (0, 1):
@@ -80,7 +103,12 @@ class Term:
 
 @dataclass(frozen=True)
 class MappingSpec:
-    """A GLM mapping function and its term decomposition."""
+    """A GLM mapping function and its term decomposition.
+
+    ``model_id`` is the PGLM v1 file id of a registered model (``None`` for a
+    custom mapping, which can be neither stored nor sharded); ``sample(rng,
+    s)`` draws one label per linear predictor in ``s``.
+    """
 
     name: str
     terms: tuple[Term, ...]
@@ -90,6 +118,8 @@ class MappingSpec:
     scale: float | None = None
     raw_monomial: bool = False
     log_concave: bool = True
+    model_id: int | None = None
+    sample: Callable[[np.random.Generator, np.ndarray], np.ndarray] | None = None
 
     @property
     def d_args(self) -> int:
@@ -140,11 +170,14 @@ def mapping_logit() -> MappingSpec:
                 y_power=0,
                 y_in_arg_power=1,
                 y_offset=0.0,
+                bound=sup_bound_logit,
             ),
         ),
         label_mode="pm1",
         raw_monomial=True,
         log_concave=True,
+        model_id=1,
+        sample=lambda rng, s: np.where(rng.random(s.size) < 1.0 / (1.0 + np.exp(-s)), 1.0, -1.0),
     )
 
 
@@ -165,11 +198,14 @@ def mapping_poisson() -> MappingSpec:
                 dphi=lambda s: -np.exp(s),
                 d2phi=lambda s: -np.exp(s),
                 y_power=0,
+                bound=sup_bound_exp,
             ),
         ),
         log_base=lambda y: -special.gammaln(np.asarray(y, dtype=float) + 1.0),
         y_domain="nonnegative",
         log_concave=True,
+        model_id=2,
+        sample=lambda rng, s: rng.poisson(np.exp(s)).astype(float),
     )
 
 
@@ -192,10 +228,36 @@ def mapping_shuber(b: float = 1.0) -> MappingSpec:
 
     return MappingSpec(
         name="shuber",
-        terms=(Term(phi=phi, dphi=dphi, d2phi=d2phi, y_offset=1.0),),
+        terms=(
+            Term(
+                phi=phi,
+                dphi=dphi,
+                d2phi=d2phi,
+                y_offset=1.0,
+                bound=lambda R, M: sup_bound_shuber(R, M, b),
+            ),
+        ),
         scale=b,
         log_concave=True,
+        model_id=3,
+        sample=lambda rng, s: s + _sample_smoothed_huber_noise(rng, s.size, b),
     )
+
+
+def _sample_smoothed_huber_noise(rng: np.random.Generator, n: int, b: float) -> np.ndarray:
+    """Rejection sampling from the density proportional to
+    exp(-b^2 (sqrt(1 + v^2/b^2) - 1)), using a Laplace envelope."""
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = 2 * (n - filled) + 16
+        v = rng.laplace(scale=1.0 / b, size=m)
+        log_accept = b * np.abs(v) - b**2 * np.sqrt(1.0 + (v / b) ** 2)
+        keep = v[np.log(rng.random(m)) < log_accept]
+        take = min(keep.size, n - filled)
+        out[filled : filled + take] = keep[:take]
+        filled += take
+    return out
 
 
 def mapping_cauchy(b: float = 1.0) -> MappingSpec:
@@ -221,6 +283,8 @@ def mapping_cauchy(b: float = 1.0) -> MappingSpec:
         terms=(Term(phi=phi, dphi=dphi, d2phi=d2phi, y_offset=1.0),),
         scale=b,
         log_concave=False,
+        model_id=4,
+        sample=lambda rng, s: s + b * rng.standard_cauchy(s.size),
     )
 
 
@@ -232,6 +296,12 @@ def mapping_gamma(nu: float = 1.0) -> MappingSpec:
     def log_base(y):
         y = np.asarray(y, dtype=float)
         return nu * math.log(nu) + (nu - 1.0) * np.log(y) - special.gammaln(nu)
+
+    def bound(R, M):
+        rep = sup_bound_exp(R, M)
+        return BoundReport(
+            r=rep.r, C=nu * rep.C, sup_bound=nu * rep.sup_bound, deriv_bound=nu * rep.deriv_bound
+        )
 
     return MappingSpec(
         name="gamma",
@@ -248,12 +318,15 @@ def mapping_gamma(nu: float = 1.0) -> MappingSpec:
                 dphi=lambda s: nu * np.exp(-np.asarray(s, dtype=float)),
                 d2phi=lambda s: -nu * np.exp(-np.asarray(s, dtype=float)),
                 y_power=1,
+                bound=bound,
             ),
         ),
         log_base=log_base,
         y_domain="positive",
         scale=nu,
         log_concave=True,
+        model_id=5,
+        sample=lambda rng, s: rng.gamma(shape=nu, scale=np.exp(s) / nu),
     )
 
 
@@ -298,6 +371,8 @@ def mapping_probit() -> MappingSpec:
         ),
         label_mode="01",
         log_concave=True,
+        model_id=6,
+        sample=lambda rng, s: (rng.random(s.size) < special.ndtr(s)).astype(float),
     )
 
 
@@ -312,16 +387,16 @@ MAPPING_FACTORIES: dict[str, Callable[..., MappingSpec]] = {
 
 
 def get_mapping(name: str, scale: float | None = None) -> MappingSpec:
-    """Look up a mapping by name, passing ``scale`` where the model takes one."""
+    """Look up a mapping by name, passing ``scale`` where its factory takes one."""
     try:
         factory = MAPPING_FACTORIES[name]
     except KeyError:
         raise InvalidInputError(
             f"unknown model {name!r}; choose from {sorted(MAPPING_FACTORIES)}"
         ) from None
-    if name in ("shuber", "cauchy", "gamma"):
-        return factory(scale) if scale is not None else factory()
-    return factory()
+    if scale is None or not inspect.signature(factory).parameters:
+        return factory()
+    return factory(scale)
 
 
 def fit_terms(spec: MappingSpec, M: int, R: float) -> tuple[PolyApprox, ...]:
@@ -437,25 +512,6 @@ def log_likelihood_hess(spec: MappingSpec, theta: np.ndarray, data) -> np.ndarra
 
 
 # --- polynomial coefficient machinery --------------------------------------
-
-
-def y_coefficient(term: Term, b: np.ndarray, multinom: float, kbar: int, y) -> np.ndarray:
-    """Per-observation statistic coefficient for one term and one multi-index.
-
-    For a multi-index of total degree ``kbar`` with multinomial coefficient
-    ``multinom``, returns
-
-        y**(y_power + kbar * y_in_arg_power) * multinom *
-            sum_{m=kbar}^{M} b[m] * binom(m, kbar) * (-y_offset * y)**(m - kbar)
-
-    which multiplies ``x**k`` in the statistic update.
-    """
-    y = np.asarray(y, dtype=float)
-    M = len(b) - 1
-    acc = np.zeros_like(y)
-    for m in range(kbar, M + 1):
-        acc += b[m] * math.comb(m, kbar) * (-term.y_offset * y) ** (m - kbar)
-    return y ** (term.y_power + kbar * term.y_in_arg_power) * multinom * acc
 
 
 def degree_weights(

@@ -402,7 +402,7 @@ def _project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _raise_nonconcave(stats: SuffStats):
-    if stats.mapping.name == "logit":
+    if stats.mapping.raw_monomial:
         raise PathologicalApproximationError(
             "surrogate log-posterior is not concave; logistic approximations "
             "with degree M = 4k have positive leading coefficients and are "

@@ -39,7 +39,7 @@ from .errors import (
     NumericError,
     StatsFormatError,
 )
-from .mappings import MappingSpec, degree_weights, fit_terms, get_mapping
+from .mappings import MAPPING_FACTORIES, MappingSpec, degree_weights, fit_terms, get_mapping
 
 __all__ = [
     "DEFAULT_INDEX_CAP",
@@ -56,9 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_INDEX_CAP = 1 << 26
-
-_MODEL_IDS = {"logit": 1, "poisson": 2, "shuber": 3, "cauchy": 4, "gamma": 5, "probit": 6}
-_MODEL_NAMES = {v: k for k, v in _MODEL_IDS.items()}
 
 _MAGIC = b"PGLM"
 _VERSION = 1
@@ -472,7 +469,7 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
 def serialize(stats: SuffStats) -> bytes:
     """Serialize to the PGLM binary format (compensation folded into entries)."""
-    model_id = _MODEL_IDS.get(stats.mapping.name)
+    model_id = stats.mapping.model_id
     if model_id is None:
         raise InvalidInputError(
             f"mapping {stats.mapping.name!r} has no registered model id"
@@ -505,7 +502,7 @@ def deserialize(data: bytes, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
     (expected_crc,) = struct.unpack("<I", trailer)
     if crc32c(body) != expected_crc:
         raise StatsFormatError("checksum failure")
-    name = _MODEL_NAMES.get(model_id)
+    name = next((k for k, f in MAPPING_FACTORIES.items() if f().model_id == model_id), None)
     if name is None:
         raise StatsFormatError(f"unknown model id {model_id}")
     # check the header against the payload before building its index set;

@@ -221,15 +221,22 @@ def test_criterion_6_method_comparison():
         prior = PriorSpec.gaussian(4.0)
         spec = mapping_logit()
 
-        t0 = time.perf_counter()
-        stats = build_stats(ArrayStream(y, X), spec, 2, 4.0)
-        (approx,) = fit_terms(spec, 2, 4.0)
-        lr2 = posterior_lr2(stats, approx, prior)
-        t_lr2 = time.perf_counter() - t0
+        def fit_lr2():
+            stats = build_stats(ArrayStream(y, X), spec, 2, 4.0)
+            (approx,) = fit_terms(spec, 2, 4.0)
+            return posterior_lr2(stats, approx, prior)
 
-        t0 = time.perf_counter()
-        lap = laplace(spec, prior, (y, X))
-        t_laplace = time.perf_counter() - t0
+        def best_of_3(fit):
+            # both sides take ~15 ms, so one host stall could decide a single timing
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                out = fit()
+                times.append(time.perf_counter() - t0)
+            return out, min(times)
+
+        lr2, t_lr2 = best_of_3(fit_lr2)
+        lap, t_laplace = best_of_3(lambda: laplace(spec, prior, (y, X)))
 
         nll_lr2 = eval_nll(spec, lr2, (y_test, X_test))
         nll_lap = eval_nll(spec, lap, (y_test, X_test))

@@ -1,11 +1,13 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from passglm.cli import main
+from passglm.cli import build_parser, main
 from passglm.data import ArrayStream, build_stats, parse_libsvm, write_libsvm
-from passglm.mappings import fit_terms, mapping_logit
+from passglm.chebyshev import fit_chebyshev
+from passglm.mappings import fit_terms, mapping_cauchy, mapping_logit
 from passglm.posterior import PriorSpec, posterior_lr2
 from passglm.suffstats import load_stats, merge
 
@@ -27,6 +29,102 @@ def dataset(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# `approx --degree 4 --radius 3 --bscale 2` output fields per model
+APPROX_GOLDEN = {
+    "logit": {
+        "b": [
+            -0.6963020131639087, 0.5000000000000003, -0.11797732842477468,
+            -4.1119371282413215e-17, 0.0026171339716734,
+        ],
+        "c": [
+            -1.1477045466858153, 1.0606601717798214, -0.30045253656435805,
+            -1.962615573354719e-16, 0.01873725593376992,
+        ],
+        "sup_err_est": 0.003154832603963431,
+        "bound": {
+            "r": 2.3303266097083393,
+            "C": 1.8910352653272267,
+            "sup_bound": 0.048203011571819034,
+            "deriv_bound": 12.866253628876056,
+        },
+    },
+    "poisson": {
+        "b": [
+            -1.0417780678809927, -0.7160728859430567, -0.4188407614125375,
+            -0.2843714457765951, -0.06433682606181446,
+        ],
+        "c": [
+            -4.880792585865025, -5.590909778532643, -3.1752098843719394,
+            -1.3572965993700576, -0.460616685631825,
+        ],
+        "sup_err_est": 0.23666139778962503,
+        "bound": {
+            "r": 3.8300010025726356,
+            "C": 462.49988576365223,
+            "sup_bound": 0.7595029932993645,
+            "deriv_bound": 73.01977929617064,
+        },
+    },
+    "shuber": {
+        "b": [
+            -0.019628697854089383, 2.7755575615628923e-16, -0.45316048303474266,
+            -5.345518266713718e-17, 0.011118731491881327,
+        ],
+        "c": [
+            -1.7211194024445358, -1.7663540160192472e-16, -1.1235315446762515,
+            -2.551400245361135e-16, 0.07960407066552976,
+        ],
+        "sup_err_est": 0.019628697854089383,
+        "bound": {
+            "r": 1.8685170848115116,
+            "C": 4.246211238112812,
+            "sup_bound": 0.40108362984929347,
+            "deriv_bound": 229.21526256949073,
+        },
+    },
+    "probit": {
+        "b": [
+            -0.6965794920832, -0.8070826378715443, -0.3110234537183938,
+            -0.032892319635796315, 0.002396611488865391,
+        ],
+        "c": [
+            -2.0233879598416857, -2.1830630594850837, -0.921036830001839,
+            -0.15699408027813228, 0.017158434885918845,
+        ],
+        "sup_err_est": 0.009026308795234209,
+        "bound": None,
+    },
+    "gamma": {
+        "b": [
+            -2.0835561357619823, 1.432145771886118, -0.8376815228250774,
+            0.5687428915531894, -0.12867365212362855,
+        ],
+        "c": [
+            -9.761585171730047, 11.181819557065284, -6.350419768743876,
+            2.7145931987401113, -0.9212333712636476,
+        ],
+        "sup_err_est": 0.4733227955792785,
+        "bound": {
+            "r": 3.8300010025726356,
+            "C": 924.9997715273045,
+            "sup_bound": 1.519005986598729,
+            "deriv_bound": 146.03955859234128,
+        },
+    },
+}
+
+
+def assert_close_tree(got, want):
+    if isinstance(want, dict):
+        assert set(got) == set(want)
+        for key in want:
+            assert_close_tree(got[key], want[key])
+    elif want is None:
+        assert got is None
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 class TestApprox:
@@ -54,6 +152,27 @@ class TestApprox:
         )
         doc = json.loads(out.read_text())
         assert doc["bound"]["sup_bound"] >= doc["sup_err_est"]
+
+    def test_cauchy_fits_its_term_without_bound(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run("approx", "--model", "cauchy", "--degree", 4, "--radius", 2,
+                   "--bscale", 2, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert doc["bound"] is None
+        expected = fit_chebyshev(mapping_cauchy(2.0).terms[0].phi, 4, 2.0)
+        np.testing.assert_array_equal(doc["b"], expected.b)
+
+    def test_former_poisson_exp_name_is_rejected(self):
+        with pytest.raises(SystemExit):
+            run("approx", "--model", "poisson-exp", "--degree", 4, "--radius", 2)
+
+    @pytest.mark.parametrize("model", list(APPROX_GOLDEN))
+    def test_golden_output(self, model, tmp_path):
+        out = tmp_path / "approx.json"
+        assert run("approx", "--model", model, "--degree", 4, "--radius", 3,
+                   "--bscale", 2, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert_close_tree({k: doc[k] for k in APPROX_GOLDEN[model]}, APPROX_GOLDEN[model])
 
 
 class TestStatsCommands:
@@ -224,6 +343,13 @@ class TestProjectAndSynth:
         stream = parse_libsvm(projected, d=10)
         y, X = stream.materialize()
         assert X.shape == (200, 10)
+
+    def test_threads_flag_is_gone_and_bench_shards_default_to_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("PASSGLM_THREADS", "3")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--threads", "2", "bench", "--model", "logit"])
+        args = build_parser().parse_args(["bench", "--model", "logit"])
+        assert args.shards == (os.cpu_count() or 1)
 
     def test_bench_smoke(self, tmp_path):
         out = tmp_path / "bench.json"

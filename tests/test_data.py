@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from passglm.data import (
     write_libsvm,
 )
 from passglm.errors import InvalidInputError
-from passglm.mappings import mapping_logit, mapping_poisson
+from passglm.mappings import mapping_logit, mapping_poisson, mapping_shuber
 from passglm.posterior import PriorSpec
 
 
@@ -353,6 +354,73 @@ class TestProjection:
         assert frac_nonzero == pytest.approx(1.0 / s, rel=0.5)
 
 
+# Labels drawn with theta_true = (0.5, -0.3, 0.8), d = 3 and n = 10, by
+# synthesize_arrays (seed 11) and SyntheticStream (seed 12); the shuber,
+# cauchy and gamma draws use scale 1.5.
+GOLDEN_SCALES = {"shuber": 1.5, "cauchy": 1.5, "gamma": 1.5}
+SYNTH_LABELS = {
+    "logit": [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, -1.0],
+    "poisson": [0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0, 2.0],
+    "shuber": [
+        1.3648221568438406, -2.7428446813678082, 3.712794260962953,
+        -0.2639927047587347, -1.4012169424834178, -1.8883712842806804,
+        0.017932307522915747, -0.05278400385632381, -2.4398575716413053,
+        -0.6820589226982117,
+    ],
+    "cauchy": [
+        2.356243842218776, -1.7668283583195656, 1.6010366002589371,
+        -21.157007213902784, -0.9972902558681801, 2.4315944564107,
+        1.5759681452572427, -1.5630274349396465, 1.035142249179723,
+        -7.678371127222853,
+    ],
+    "gamma": [
+        1.355384086927867, 1.151346431350601, 0.5948457337593602,
+        0.04353364404218828, 1.3174922118244614, 2.053447952286416,
+        0.6144321672576412, 1.0379416953835836, 0.7997785108799041,
+        0.07031413766128478,
+    ],
+    "probit": [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+}
+STREAM_LABELS = {
+    "logit": [-1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+    "poisson": [1.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+    "shuber": [
+        1.2416884674929822, -0.5224683981292226, -0.709351098409831,
+        0.20223147384553752, 0.3265441301814307, -3.7105920134039674,
+        -0.841395793381897, 0.18531334931922916, -0.41133631913029484,
+        2.4944491341482244,
+    ],
+    "cauchy": [
+        0.906344041248952, -7.6225618107862605, -2.425163248842656,
+        0.4146365874190068, -1.6804383179730968, -0.3654847210445241,
+        -1.2101272354582946, 3.8075902841031297, 0.9760047250618935,
+        -1.7821029724017636,
+    ],
+    "gamma": [
+        0.9633069361499927, 0.4557265668155056, 0.05160317664839221,
+        3.7593697244299586, 0.3930628745337043, 0.8960045831019054,
+        1.1851815750742152, 2.058153290875952, 0.4259800973807557,
+        1.73331781435649,
+    ],
+    "probit": [0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
+}
+
+
+class TestSyntheticGolden:
+    @pytest.mark.parametrize("model", list(SYNTH_LABELS))
+    def test_synthesize_arrays_labels(self, model):
+        y, _ = synthesize_arrays(
+            model, 3, 10, seed=11, theta_true=[0.5, -0.3, 0.8], scale=GOLDEN_SCALES.get(model)
+        )
+        np.testing.assert_allclose(y, SYNTH_LABELS[model], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("model", list(STREAM_LABELS))
+    def test_synthetic_stream_labels(self, model):
+        stream = SyntheticStream(model, 3, 10, 12, [0.5, -0.3, 0.8], scale=GOLDEN_SCALES.get(model))
+        y, _ = stream.materialize()
+        np.testing.assert_allclose(y, STREAM_LABELS[model], rtol=1e-13, atol=0)
+
+
 class TestSynthesize:
     def test_logistic_label_frequency(self):
         y, X = synthesize_arrays("logit", 4, 20_000, seed=0, theta_true=np.zeros(4))
@@ -386,7 +454,7 @@ class TestSynthesize:
     def test_smoothed_huber_noise_density(self):
         # rejection sampler must produce the unnormalized density
         # exp(-b^2 (sqrt(1 + v^2/b^2) - 1)); check via histogram ratio
-        from passglm.data import _sample_smoothed_huber_noise
+        from passglm.mappings import _sample_smoothed_huber_noise
 
         rng = np.random.default_rng(4)
         v = _sample_smoothed_huber_noise(rng, 200_000, 1.0)
@@ -514,3 +582,23 @@ class TestRunSharded:
     def test_shard_count_validation(self):
         with pytest.raises(InvalidInputError):
             run_sharded(self._dataset(10), 0, mapping_logit(), 2, 4.0)
+
+    def test_unregistered_mapping_rejected_before_workers_start(self, monkeypatch):
+        custom = dataclasses.replace(mapping_logit(), name="custom-logit", model_id=None)
+
+        def no_pool(*args):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(data.mp, "get_context", no_pool)
+        with pytest.raises(InvalidInputError, match="model id"):
+            run_sharded(self._dataset(100), 2, custom, 2, 4.0)
+        assert data._FORK_JOB is None
+
+    def test_workers_use_the_callers_mapping(self):
+        rng = np.random.default_rng(10)
+        X = rng.uniform(-0.3, 0.3, (2000, 3))
+        y = rng.normal(0.0, 1.0, 2000)
+        sharded = run_sharded(ArrayStream(y, X), 2, mapping_shuber(2.5), 4, 2.0)
+        sequential = build_stats(ArrayStream(y, X), mapping_shuber(2.5), 4, 2.0)
+        assert sharded.mapping.scale == 2.5
+        np.testing.assert_allclose(sharded.values(), sequential.values(), rtol=1e-10)

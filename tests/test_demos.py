@@ -1,4 +1,6 @@
-"""Smoke tests: the demos that build index sets run to completion."""
+"""Smoke tests: the demos run to completion.
+
+``posterior_comparison.py`` is left out: its MALA run takes ~24 s."""
 
 import os
 import subprocess
@@ -10,7 +12,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["poisson_general_degree.py", "streaming_and_merging.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "poisson_general_degree.py",
+        "streaming_and_merging.py",
+        "quadratic_logistic_approximation.py",
+        "random_projection.py",
+    ],
+)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

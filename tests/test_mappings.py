@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from passglm.chebyshev import sup_bound_exp, sup_bound_logit, sup_bound_shuber
 from passglm.errors import InvalidInputError, NumericError
 from passglm.mappings import (
+    MAPPING_FACTORIES,
     degree_weights,
     fit_terms,
     get_mapping,
@@ -17,7 +19,6 @@ from passglm.mappings import (
     mapping_poisson,
     mapping_probit,
     mapping_shuber,
-    y_coefficient,
 )
 
 
@@ -64,6 +65,40 @@ class TestFactories:
         assert get_mapping("shuber", 2.0).scale == 2.0
         with pytest.raises(InvalidInputError):
             get_mapping("binomial")
+
+    def test_get_mapping_passes_scale_only_where_the_factory_takes_one(self):
+        assert get_mapping("logit", 2.0).scale is None
+        assert get_mapping("probit", 2.0).scale is None
+        for name in ("shuber", "cauchy", "gamma"):
+            assert get_mapping(name, 2.0).scale == 2.0
+            assert get_mapping(name).scale == 1.0
+
+    def test_registry_facts(self):
+        ids = {name: factory().model_id for name, factory in MAPPING_FACTORIES.items()}
+        assert ids == {"logit": 1, "poisson": 2, "shuber": 3, "cauchy": 4, "gamma": 5, "probit": 6}
+        for name, factory in MAPPING_FACTORIES.items():
+            spec = factory()
+            assert spec.name == name
+            assert callable(spec.sample)
+            assert any(t.exact_degree is None for t in spec.terms)
+
+    def test_term_bounds(self):
+        R, M = 3.0, 6
+        exp = sup_bound_exp(R, M)
+        assert mapping_logit().terms[0].bound(R, M) == sup_bound_logit(R, M)
+        assert mapping_shuber(2.0).terms[0].bound(R, M) == sup_bound_shuber(R, M, 2.0)
+        poisson = mapping_poisson()
+        assert poisson.terms[0].bound(R, M) is None  # the exact linear term
+        assert poisson.terms[1].bound(R, M) == exp
+        gamma = mapping_gamma(2.0)
+        assert gamma.terms[0].bound(R, M) is None
+        scaled = gamma.terms[1].bound(R, M)
+        assert scaled.r == exp.r
+        assert (scaled.C, scaled.sup_bound, scaled.deriv_bound) == (
+            2.0 * exp.C, 2.0 * exp.sup_bound, 2.0 * exp.deriv_bound
+        )
+        for spec in (mapping_probit(), mapping_cauchy(2.0)):
+            assert all(t.bound(R, M) is None for t in spec.terms)
 
     def test_label_canonicalization(self):
         logit = mapping_logit()
@@ -202,6 +237,26 @@ class TestCurvatureConstants:
         h = 1e-4
         d3 = (spec.terms[0].d2phi(s + h) - spec.terms[0].d2phi(s - h)) / (2 * h)
         assert np.max(np.abs(d3)) == pytest.approx(1.0 / (6 * math.sqrt(3)), abs=1e-9)
+
+
+def y_coefficient(term, b: np.ndarray, multinom: float, kbar: int, y) -> np.ndarray:
+    """Per-observation statistic coefficient for one term and one multi-index,
+    the direct sum that ``degree_weights`` vectorizes.
+
+    For a multi-index of total degree ``kbar`` with multinomial coefficient
+    ``multinom``, returns
+
+        y**(y_power + kbar * y_in_arg_power) * multinom *
+            sum_{m=kbar}^{M} b[m] * binom(m, kbar) * (-y_offset * y)**(m - kbar)
+
+    which multiplies ``x**k`` in the statistic update.
+    """
+    y = np.asarray(y, dtype=float)
+    M = len(b) - 1
+    acc = np.zeros_like(y)
+    for m in range(kbar, M + 1):
+        acc += b[m] * math.comb(m, kbar) * (-term.y_offset * y) ** (m - kbar)
+    return y ** (term.y_power + kbar * term.y_in_arg_power) * multinom * acc
 
 
 class TestYCoefficient:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -548,3 +549,29 @@ class TestFormatFixtures:
         fresh = new_stats(enumerate_indices(d, M), get_mapping(model), R)
         fresh.accumulate_batch(*fixture_records(model, d))
         np.testing.assert_allclose(stats.values(), fresh.values(), rtol=1e-12, atol=1e-14)
+
+
+# (model, scale, PGLM v1 model id); the ids are part of the file format
+PGLM_V1_MODEL_IDS = [
+    ("logit", None, 1),
+    ("poisson", None, 2),
+    ("shuber", 2.5, 3),
+    ("cauchy", 2.5, 4),
+    ("gamma", 2.5, 5),
+    ("probit", None, 6),
+]
+
+
+class TestModelIds:
+    @pytest.mark.parametrize("model,scale,model_id", PGLM_V1_MODEL_IDS)
+    def test_header_model_id(self, model, scale, model_id):
+        raw = serialize(new_stats(enumerate_indices(2, 2), get_mapping(model, scale), 2.0))
+        assert struct.unpack_from("<H", raw, 6)[0] == model_id
+
+    @pytest.mark.parametrize("model,scale,model_id", PGLM_V1_MODEL_IDS)
+    def test_round_trip_name_and_scale(self, model, scale, model_id):
+        mapping = get_mapping(model, scale)
+        back = deserialize(serialize(new_stats(enumerate_indices(2, 2), mapping, 2.0)))
+        assert (back.mapping.name, back.mapping.scale) == (model, mapping.scale)
+        if scale is not None:
+            assert back.mapping.scale == scale
