@@ -18,12 +18,7 @@ from .errors import (
     InvalidInputError,
     NumericError,
 )
-from .mappings import (
-    MappingSpec,
-    batch_log_likelihood,
-    log_likelihood_grad,
-    log_likelihood_hess,
-)
+from .mappings import MappingSpec, _check_finite, _loglik_derivs, _materialize
 from .posterior import GaussianPosterior, PriorSpec, _chol_from_precision
 
 __all__ = [
@@ -35,17 +30,6 @@ __all__ = [
     "sgd",
     "split_rhat",
 ]
-
-
-def _materialize(data):
-    if hasattr(data, "materialize"):
-        return data.materialize()
-    y, X = data
-    return np.asarray(y, dtype=float), X
-
-
-def _neg_log_post(spec, prior, theta, y, X):
-    return -float(np.sum(batch_log_likelihood(spec, theta, y, X))) - prior.log_density(theta)
 
 
 def exact_map(
@@ -63,17 +47,22 @@ def exact_map(
     y, X = _materialize(data)
     y = spec.canonicalize_y(y)
     d = X.shape[1]
-    theta = prior.mean_vector(d)
+    mean = prior.mean_vector(d)
     prec = np.diag(prior.precision_diag(d))
-    f = _neg_log_post(spec, prior, theta, y, X)
+
+    def evaluate(theta):
+        # negative log-posterior and the per-record derivatives in X @ theta
+        ll, d1, d2 = _loglik_derivs(spec, y, X @ theta, 2)
+        return -float(np.sum(ll)) - prior.log_density(theta), d1, d2
+
+    theta = mean
+    f, d1, d2 = evaluate(theta)
     for _ in range(max_iter):
-        grad = -log_likelihood_grad(spec, theta, (y, X)) + prec @ (
-            theta - prior.mean_vector(d)
-        )
+        _check_finite(d1, "gradient")
+        grad = -(X.T @ d1) + prec @ (theta - mean)
+        hess = -(X.T @ (d2[:, None] * X)) + prec
         if np.linalg.norm(grad) <= tol:
-            hess = -log_likelihood_hess(spec, theta, (y, X)) + prec
             return theta, hess
-        hess = -log_likelihood_hess(spec, theta, (y, X)) + prec
         try:
             step = linalg.cho_solve((linalg.cholesky(hess, lower=True), True), grad)
         except linalg.LinAlgError as exc:
@@ -81,12 +70,12 @@ def exact_map(
         alpha = 1.0
         decrement = float(grad @ step)
         while alpha > 1e-12:
-            candidate = theta - alpha * step
-            fc = _neg_log_post(spec, prior, candidate, y, X)
-            if fc <= f - 1e-4 * alpha * decrement:
+            theta_next = theta - alpha * step
+            f_next, d1, d2 = evaluate(theta_next)
+            if f_next <= f - 1e-4 * alpha * decrement:
                 break
             alpha *= 0.5
-        theta, f = candidate, fc
+        theta, f = theta_next, f_next
     raise ConvergenceError(f"Newton did not reach gradient tolerance {tol} in {max_iter} iterations")
 
 
@@ -154,13 +143,11 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
     prior_mean = prior.mean_vector(d)
     prior_prec = prior.precision_diag(d)
 
-    def log_post(theta):
-        return float(np.sum(batch_log_likelihood(spec, theta, y, X))) - 0.5 * float(
-            prior_prec @ (theta - prior_mean) ** 2
-        )
-
-    def grad_log_post(theta):
-        return log_likelihood_grad(spec, theta, (y, X)) - prior_prec * (theta - prior_mean)
+    def log_post_and_grad(theta):
+        ll, d1 = _loglik_derivs(spec, y, X @ theta, 1)
+        _check_finite(d1, "gradient")
+        lp = float(np.sum(ll)) - 0.5 * float(prior_prec @ (theta - prior_mean) ** 2)
+        return lp, X.T @ d1 - prior_prec * (theta - prior_mean)
 
     kept = config.iterations - config.burn_in
     draws = np.empty((config.chains, kept, d))
@@ -170,10 +157,9 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
     for c in range(config.chains):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, c]))
         theta = prior_mean + 0.5 * rng.standard_normal(d)
-        lp = log_post(theta)
+        lp, g = log_post_and_grad(theta)
         if not np.isfinite(lp):
             raise NumericError("log-posterior is not finite at the chain start")
-        g = grad_log_post(theta)
         log_h = np.log(config.step_size)
         D = np.ones(d)
         run_mean = np.zeros(d)
@@ -185,8 +171,7 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
             h2 = h * h
             mu = theta + 0.5 * h2 * D * g
             prop = mu + h * np.sqrt(D) * rng.standard_normal(d)
-            lp_prop = log_post(prop)
-            g_prop = grad_log_post(prop)
+            lp_prop, g_prop = log_post_and_grad(prop)
             mu_back = prop + 0.5 * h2 * D * g_prop
             log_q_fwd = -0.5 / h2 * float(((prop - mu) ** 2 / D).sum())
             log_q_back = -0.5 / h2 * float(((theta - mu_back) ** 2 / D).sum())
@@ -269,24 +254,12 @@ def sgd(
     rng = np.random.default_rng(seed)
     theta = np.zeros(d)
     t = 0
-    dense = not hasattr(X, "tocsr")
     for _ in range(epochs):
         order = rng.permutation(n)
         for i in order:
             eta = eta0 / (1.0 + eta0 * lam * t)
-            xi = X[i] if dense else np.asarray(X[i].todense()).ravel()
-            s = float(xi @ theta)
-            w = 0.0
-            for term in spec.terms:
-                arg = s if term.y_in_arg_power == 0 else y[i] * s
-                if term.y_offset:
-                    arg = arg - term.y_offset * y[i]
-                dv = float(term.dphi(np.asarray([arg]))[0])
-                if term.y_in_arg_power:
-                    dv *= y[i]
-                if term.y_power:
-                    dv *= y[i]
-                w += dv
+            xi = X[i]
+            (w,) = _loglik_derivs(spec, y[i : i + 1], np.array([xi @ theta]), 1)[1]
             theta = theta + eta * (w * xi - prior_prec * (theta - prior_mean) / n)
             t += 1
         norm = float(np.linalg.norm(theta))

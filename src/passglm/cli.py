@@ -20,22 +20,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-import time
 
 import numpy as np
 
 from . import chebyshev
 from .baselines import MalaConfig, laplace, mala, sgd
 from .data import (
-    ArrayStream,
     ProjectionSpec,
-    SyntheticStream,
     build_stats,
     parse_libsvm,
     project,
-    run_sharded,
     synthesize,
     write_libsvm,
 )
@@ -245,38 +240,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    mapping = get_mapping(args.model, args.bscale)
-    theta = np.full(args.dim, 0.5)
-    y, X = SyntheticStream(args.model, args.dim, args.n, args.seed, theta).materialize()
-
-    t0 = time.perf_counter()
-    sequential = build_stats(ArrayStream(y, X), mapping, args.degree, args.radius)
-    t_seq = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sharded = run_sharded(ArrayStream(y, X), args.shards, mapping, args.degree, args.radius)
-    t_shard = time.perf_counter() - t0
-
-    vals, svals = sequential.values(), sharded.values()
-    max_rel = float(np.max(np.abs(vals - svals) / np.maximum(1e-30, np.abs(vals))))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "n": args.n,
-        "d": args.dim,
-        "M": args.degree,
-        "shards": args.shards,
-        "seconds_sequential": t_seq,
-        "seconds_sharded": t_shard,
-        "records_per_second_sequential": args.n / t_seq,
-        "speedup": t_seq / t_shard,
-        "max_relative_entry_difference": max_rel,
-        "cpu_count": os.cpu_count(),
-    }
-    _write_json(payload, args.out)
-    return 0
-
-
 def _add_common_model_flags(p):
     p.add_argument("--model", required=True, choices=list(MAPPING_FACTORIES))
     p.add_argument("--bscale", type=float, default=1.0,
@@ -369,17 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("bench", help="measure streaming throughput and shard speedup")
-    _add_common_model_flags(p)
-    p.add_argument("--n", type=int, default=1_000_000)
-    p.add_argument("--dim", type=int, default=20)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--radius", type=float, default=4.0)
-    p.add_argument("--shards", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

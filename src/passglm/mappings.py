@@ -17,6 +17,11 @@ sampler (``sample``).  The file format, the synthetic generators, the sharded
 path and the command line all read these fields, so a new model is one
 factory with a fresh ``model_id``.
 
+The exact log-likelihood and its derivatives in the linear predictor
+``x . theta`` are evaluated in one place, ``_loglik_derivs``.  The public
+reductions below, the exact baselines, the held-out metrics and the MAP error
+certificate all call it, so no other module knows the term shape.
+
 A mapping with ``raw_monomial`` set (the logistic one) is special-cased
 throughout the package: since its label enters only through ``y * x`` and
 ``y**2 = 1``, the statistics can be stored as raw monomial sums with the
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special, sparse
+from scipy import special
 
 from .chebyshev import (
     BoundReport,
@@ -93,12 +98,15 @@ class Term:
         for f in (self.phi, self.dphi, self.d2phi):
             if not np.all(np.isfinite(f(_PROBE_GRID))):
                 raise InvalidInputError("term function is not finite on the probe grid")
-        # cheap smoothness probe: dphi must match finite differences of phi
+        # cheap smoothness probe: each derivative must match central
+        # differences of the function below it
         h = 1e-5
-        fd = (self.phi(_PROBE_GRID + h) - self.phi(_PROBE_GRID - h)) / (2 * h)
-        scale = np.maximum(1.0, np.abs(fd))
-        if np.max(np.abs(fd - self.dphi(_PROBE_GRID)) / scale) > 1e-4:
-            raise InvalidInputError("dphi does not match finite differences of phi")
+        pairs = (("phi", self.phi, "dphi", self.dphi), ("dphi", self.dphi, "d2phi", self.d2phi))
+        for f_name, f, df_name, df in pairs:
+            fd = (f(_PROBE_GRID + h) - f(_PROBE_GRID - h)) / (2 * h)
+            scale = np.maximum(1.0, np.abs(fd))
+            if np.max(np.abs(fd - df(_PROBE_GRID)) / scale) > 1e-4:
+                raise InvalidInputError(f"{df_name} does not match finite differences of {f_name}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +128,6 @@ class MappingSpec:
     log_concave: bool = True
     model_id: int | None = None
     sample: Callable[[np.random.Generator, np.ndarray], np.ndarray] | None = None
-
-    @property
-    def d_args(self) -> int:
-        return len(self.terms)
 
     def canonicalize_y(self, y: np.ndarray, first_record: int = 0) -> np.ndarray:
         """Map labels to the convention the mapping expects.
@@ -361,7 +365,7 @@ def mapping_probit() -> MappingSpec:
         s = np.asarray(s, dtype=float)
         g = _mills(-s)
         h = _mills(s)
-        return (-s * g - g**2) + (s * h - h**2)
+        return (-s * g - g**2) + (h**2 - s * h)
 
     return MappingSpec(
         name="probit",
@@ -404,7 +408,15 @@ def fit_terms(spec: MappingSpec, M: int, R: float) -> tuple[PolyApprox, ...]:
     return tuple(fit_chebyshev(t.phi, M, R) for t in spec.terms)
 
 
-# --- exact likelihood computations ----------------------------------------
+# --- exact likelihood: the one place terms are evaluated --------------------
+
+
+def _materialize(data) -> tuple[np.ndarray, np.ndarray]:
+    """All of a record source as ``(y, X)``: a stream or a ``(y, X)`` pair."""
+    if hasattr(data, "materialize"):
+        return data.materialize()
+    y, X = data
+    return np.asarray(y, dtype=float), X
 
 
 def _as_batches(data, batch_size=8192):
@@ -422,16 +434,37 @@ def _term_args(term: Term, y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return arg
 
 
+def _loglik_derivs(spec: MappingSpec, y: np.ndarray, s: np.ndarray, order: int = 0) -> list:
+    """Per-record log-likelihood and its first ``order`` derivatives in ``s``.
+
+    ``s`` is the linear predictor ``X @ theta``.  Entry ``k`` of the result is
+    the ``k``-th derivative summed over the terms; entry 0 includes
+    ``log_base``.  By the chain rule each derivative of a term brings one
+    factor ``y**y_in_arg_power``, on top of the term's ``y**y_power``.
+    """
+    out = [0.0] * (order + 1)
+    for term in spec.terms:
+        arg = _term_args(term, y, s)
+        for k, f in enumerate((term.phi, term.dphi, term.d2phi)[: order + 1]):
+            v = f(arg)
+            for _ in range(k * term.y_in_arg_power + term.y_power):
+                v = v * y
+            out[k] = out[k] + v
+    if spec.log_base is not None:
+        out[0] = out[0] + spec.log_base(y)
+    return out
+
+
+def _check_finite(vals: np.ndarray, what: str, first_record: int = 0) -> None:
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        idx = first_record + int(np.argmax(bad))
+        raise NumericError(f"non-finite {what} contribution at record {idx}", record_index=idx)
+
+
 def batch_log_likelihood(spec: MappingSpec, theta: np.ndarray, y: np.ndarray, X) -> np.ndarray:
     """Per-record exact log-likelihood values for one batch."""
-    s = X @ theta
-    total = np.zeros_like(s)
-    for term in spec.terms:
-        v = term.phi(_term_args(term, y, s))
-        total += v if term.y_power == 0 else y * v
-    if spec.log_base is not None:
-        total += spec.log_base(y)
-    return total
+    return _loglik_derivs(spec, y, X @ theta)[0]
 
 
 def log_likelihood(spec: MappingSpec, theta: np.ndarray, data) -> float:
@@ -446,21 +479,10 @@ def log_likelihood(spec: MappingSpec, theta: np.ndarray, data) -> float:
     offset = 0
     for y, X in _as_batches(data):
         vals = batch_log_likelihood(spec, theta, y, X)
-        if not np.all(np.isfinite(vals)):
-            idx = offset + int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise NumericError(
-                f"non-finite log-likelihood contribution at record {idx}",
-                record_index=idx,
-            )
+        _check_finite(vals, "log-likelihood", offset)
         total += float(vals.sum())
         offset += len(vals)
     return total
-
-
-def _weighted_design_sum(X, w: np.ndarray) -> np.ndarray:
-    if sparse.issparse(X):
-        return np.asarray(X.T @ w).ravel()
-    return X.T @ w
 
 
 def log_likelihood_grad(spec: MappingSpec, theta: np.ndarray, data) -> np.ndarray:
@@ -469,21 +491,9 @@ def log_likelihood_grad(spec: MappingSpec, theta: np.ndarray, data) -> np.ndarra
     grad = np.zeros_like(theta)
     offset = 0
     for y, X in _as_batches(data):
-        s = X @ theta
-        w = np.zeros_like(s)
-        for term in spec.terms:
-            dv = term.dphi(_term_args(term, y, s))
-            if term.y_in_arg_power:
-                dv = dv * y
-            if term.y_power:
-                dv = dv * y
-            w += dv
-        if not np.all(np.isfinite(w)):
-            idx = offset + int(np.flatnonzero(~np.isfinite(w))[0])
-            raise NumericError(
-                f"non-finite gradient contribution at record {idx}", record_index=idx
-            )
-        grad += _weighted_design_sum(X, w)
+        w = _loglik_derivs(spec, y, X @ theta, 1)[1]
+        _check_finite(w, "gradient", offset)
+        grad += X.T @ w
         offset += len(w)
     return grad
 
@@ -491,23 +501,10 @@ def log_likelihood_grad(spec: MappingSpec, theta: np.ndarray, data) -> np.ndarra
 def log_likelihood_hess(spec: MappingSpec, theta: np.ndarray, data) -> np.ndarray:
     """Analytic Hessian of the exact log-likelihood (dense ``d x d``)."""
     theta = np.asarray(theta, dtype=float)
-    d = theta.size
-    hess = np.zeros((d, d))
+    hess = np.zeros((theta.size, theta.size))
     for y, X in _as_batches(data):
-        s = X @ theta
-        w = np.zeros_like(s)
-        for term in spec.terms:
-            d2v = term.d2phi(_term_args(term, y, s))
-            # the chain rule brings y**(2 * y_in_arg_power) = 1 for labels in {-1, +1}
-            if term.y_in_arg_power:
-                d2v = d2v * y * y
-            if term.y_power:
-                d2v = d2v * y
-            w += d2v
-        if sparse.issparse(X):
-            hess += np.asarray((X.T @ X.multiply(w[:, None])).todense())
-        else:
-            hess += X.T @ (w[:, None] * X)
+        w = _loglik_derivs(spec, y, X @ theta, 2)[2]
+        hess += X.T @ (w[:, None] * X)
     return hess
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from .errors import InvalidInputError, MetricError
-from .mappings import MappingSpec, batch_log_likelihood
+from .mappings import MappingSpec, _materialize, batch_log_likelihood
 
 __all__ = [
     "EvalReport",
@@ -92,13 +92,6 @@ def compare_posteriors(a, b) -> EvalReport:
         var_err=var_err,
         w2=gaussian_w2(mean_a, cov_a, mean_b, cov_b),
     )
-
-
-def _materialize(data):
-    if hasattr(data, "materialize"):
-        return data.materialize()
-    y, X = data
-    return np.asarray(y, dtype=float), X
 
 
 def test_nll(spec: MappingSpec, estimate, data) -> float:

@@ -25,7 +25,7 @@ from .errors import (
     NotPositiveDefiniteError,
     PathologicalApproximationError,
 )
-from .mappings import log_likelihood_hess
+from .mappings import _materialize, _term_args, log_likelihood_hess
 from .suffstats import MultiIndexSet, SuffStats, enumerate_indices
 
 __all__ = [
@@ -476,18 +476,16 @@ def map_error_certificate(
     mapping = stats.mapping
     d = exact_map.size
 
-    y, X = data.materialize() if hasattr(data, "materialize") else data
-    y = mapping.canonicalize_y(np.asarray(y, dtype=float))
-    s = np.asarray(X @ exact_map).ravel()
+    y, X = _materialize(data)
+    y = mapping.canonicalize_y(y)
+    s = X @ exact_map
 
     eps_n = 0.0
     worst_fraction = 1.0
     approxes = stats.approxes if stats.approxes is not None else (approx,) * len(mapping.terms)
     n = len(y)
     for term, term_approx in zip(mapping.terms, approxes):
-        arg = s if term.y_in_arg_power == 0 else y * s
-        if term.y_offset:
-            arg = arg - term.y_offset * y
+        arg = _term_args(term, y, s)
         worst_fraction = min(
             worst_fraction, float(np.mean(np.abs(arg) <= stats.radius))
         )

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -344,22 +343,11 @@ class TestProjectAndSynth:
         y, X = stream.materialize()
         assert X.shape == (200, 10)
 
-    def test_threads_flag_is_gone_and_bench_shards_default_to_cpu_count(self, monkeypatch):
+    def test_threads_flag_is_gone(self, monkeypatch):
         monkeypatch.setenv("PASSGLM_THREADS", "3")
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--threads", "2", "bench", "--model", "logit"])
-        args = build_parser().parse_args(["bench", "--model", "logit"])
-        assert args.shards == (os.cpu_count() or 1)
-
-    def test_bench_smoke(self, tmp_path):
-        out = tmp_path / "bench.json"
-        assert (
-            run("bench", "--model", "logit", "--n", 20000, "--dim", 10, "--degree", 2,
-                "--radius", 4, "--shards", 2, "--out", out) == 0
-        )
-        doc = json.loads(out.read_text())
-        assert doc["max_relative_entry_difference"] <= 1e-10
-        assert doc["records_per_second_sequential"] > 0
+            build_parser().parse_args(["--threads", "2", "synth", "--model", "logit", "--dim", "2",
+                                       "--n", "5", "--out", "x.svm"])
 
 
 class TestSurrogateFitPath:

@@ -7,6 +7,8 @@ from passglm.chebyshev import sup_bound_exp, sup_bound_logit, sup_bound_shuber
 from passglm.errors import InvalidInputError, NumericError
 from passglm.mappings import (
     MAPPING_FACTORIES,
+    Term,
+    _mills,
     degree_weights,
     fit_terms,
     get_mapping,
@@ -26,6 +28,33 @@ def random_instance(rng, d=3, n=40):
     X = rng.uniform(-0.5, 0.5, (n, d))
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     return y, X
+
+
+# (factory, label kind) for every registered model
+MODEL_CASES = [
+    (mapping_logit, "pm1"),
+    (mapping_poisson, "count"),
+    (lambda: mapping_shuber(1.5), "real"),
+    (lambda: mapping_gamma(2.0), "positive"),
+    (mapping_probit, "01"),
+    (lambda: mapping_cauchy(1.0), "real"),
+]
+
+
+def model_instance(rng, label_kind, d, n):
+    """Covariates, labels of the given kind and a parameter, drawn in that order."""
+    X = rng.uniform(-0.4, 0.4, (n, d))
+    if label_kind == "pm1":
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    elif label_kind == "01":
+        y = (rng.random(n) < 0.5).astype(float)
+    elif label_kind == "count":
+        y = rng.poisson(1.0, n).astype(float)
+    elif label_kind == "positive":
+        y = rng.gamma(2.0, 1.0, n)
+    else:
+        y = rng.normal(0, 1, n)
+    return y, X, rng.normal(0, 0.5, d)
 
 
 class TestFactories:
@@ -59,6 +88,19 @@ class TestFactories:
                 factory(0.0)
             with pytest.raises(InvalidInputError):
                 factory(-1.0)
+
+    def test_inconsistent_second_derivative_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="d2phi does not match"):
+            Term(phi=np.sin, dphi=np.cos, d2phi=np.sin)
+
+        def d2phi_sign_flipped(s):
+            # the probit phi_2 curvature with its second half negated
+            g, h = _mills(-s), _mills(s)
+            return (-s * g - g**2) + (s * h - h**2)
+
+        probit2 = mapping_probit().terms[1]
+        with pytest.raises(InvalidInputError, match="d2phi does not match"):
+            Term(phi=probit2.phi, dphi=probit2.dphi, d2phi=d2phi_sign_flipped, y_power=1)
 
     def test_get_mapping_round_trip(self):
         assert get_mapping("logit").name == "logit"
@@ -165,33 +207,12 @@ class TestGradients:
             grad = log_likelihood_grad(spec, np.array([t]), (np.array([1.0]), np.array([[1.0]])))
             assert grad[0] == pytest.approx(1.0 / (1.0 + math.exp(t)))
 
-    @pytest.mark.parametrize(
-        "spec_factory,label_kind",
-        [
-            (mapping_logit, "pm1"),
-            (mapping_poisson, "count"),
-            (lambda: mapping_shuber(1.5), "real"),
-            (lambda: mapping_gamma(2.0), "positive"),
-            (mapping_probit, "01"),
-            (lambda: mapping_cauchy(1.0), "real"),
-        ],
-    )
+    @pytest.mark.parametrize("spec_factory,label_kind", MODEL_CASES)
     def test_gradient_matches_finite_differences(self, spec_factory, label_kind):
         rng = np.random.default_rng(5)
         spec = spec_factory()
-        d, n = 3, 30
-        X = rng.uniform(-0.4, 0.4, (n, d))
-        if label_kind == "pm1":
-            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        elif label_kind == "01":
-            y = (rng.random(n) < 0.5).astype(float)
-        elif label_kind == "count":
-            y = rng.poisson(1.0, n).astype(float)
-        elif label_kind == "positive":
-            y = rng.gamma(2.0, 1.0, n)
-        else:
-            y = rng.normal(0, 1, n)
-        theta = rng.normal(0, 0.5, d)
+        d = 3
+        y, X, theta = model_instance(rng, label_kind, d, 30)
         grad = log_likelihood_grad(spec, theta, (y, X))
         h = 1e-6
         fd = np.empty(d)
@@ -204,15 +225,16 @@ class TestGradients:
             ) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
-    def test_hessian_matches_finite_differences(self):
+    @pytest.mark.parametrize("spec_factory,label_kind", MODEL_CASES)
+    def test_hessian_matches_finite_differences(self, spec_factory, label_kind):
         rng = np.random.default_rng(8)
-        y, X = random_instance(rng, d=3, n=40)
-        spec = mapping_logit()
-        theta = rng.normal(0, 0.5, 3)
+        spec = spec_factory()
+        d = 3
+        y, X, theta = model_instance(rng, label_kind, d, 40)
         hess = log_likelihood_hess(spec, theta, (y, X))
         h = 1e-5
-        for j in range(3):
-            e = np.zeros(3)
+        for j in range(d):
+            e = np.zeros(d)
             e[j] = h
             fd = (
                 log_likelihood_grad(spec, theta + e, (y, X))

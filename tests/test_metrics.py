@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from passglm.errors import InvalidInputError, MetricError
-from passglm.mappings import fit_terms, mapping_logit
+from passglm.data import synthesize_arrays
+from passglm.mappings import MAPPING_FACTORIES, fit_terms, get_mapping, mapping_logit
 from passglm.metrics import (
     compare_posteriors,
     gaussian_w2,
@@ -12,7 +13,8 @@ from passglm.metrics import (
     roc_auc,
 )
 from passglm.metrics import test_nll as eval_nll
-from passglm.posterior import PriorSpec, posterior_lr2
+from passglm.metrics import test_nll_predictive as eval_nll_predictive
+from passglm.posterior import GaussianPosterior, PriorSpec, posterior_lr2
 from tests.test_posterior import logistic_instance, lr2_stats
 
 
@@ -91,6 +93,19 @@ class TestTestNll:
         lap = laplace(mapping_logit(), prior, (y, X))
         assert eval_nll(mapping_logit(), lr2, (yt, Xt)) <= 1.05 * eval_nll(
             mapping_logit(), lap, (yt, Xt)
+        )
+
+
+class TestTestNllPredictive:
+    @pytest.mark.parametrize("model", list(MAPPING_FACTORIES))
+    def test_point_mass_posterior_equals_plug_in(self, model):
+        # every draw of a zero-covariance posterior is its mean
+        theta = np.array([0.4, -0.3, 0.2])
+        spec = get_mapping(model, 1.5)
+        data = synthesize_arrays(model, 3, 200, 9, theta, scale=1.5)
+        post = GaussianPosterior(mean=theta, chol=np.zeros((3, 3)), logdet=-np.inf)
+        assert eval_nll_predictive(spec, post, data, draws=50, seed=1) == pytest.approx(
+            eval_nll(spec, theta, data), rel=1e-12
         )
 
 
