@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special, stats
+from scipy import linalg, special
 
 from .errors import (
     ConvergenceError,
@@ -19,6 +19,7 @@ from .errors import (
     NumericError,
 )
 from .mappings import MappingSpec, _check_finite, _loglik_derivs, _materialize
+from .metrics import _average_ranks
 from .posterior import GaussianPosterior, PriorSpec, _chol_from_precision
 
 __all__ = [
@@ -212,7 +213,7 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
     m, n = split.shape[0], half
     for j in range(d):
         flat = split[:, :, j].ravel()
-        ranks = stats.rankdata(flat, method="average")
+        ranks = _average_ranks(flat)
         z = special.ndtri((ranks - 0.375) / (flat.size + 0.25)).reshape(m, n)
         chain_means = z.mean(axis=1)
         w = z.var(axis=1, ddof=1).mean()

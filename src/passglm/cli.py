@@ -46,7 +46,8 @@ log = logging.getLogger("passglm")
 
 
 def _write_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2)
+    # compact: with an indent, json falls back to its pure-Python encoder
+    text = json.dumps(payload)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -324,18 +324,27 @@ def parse_libsvm(path, d: int | None = None, labels: str = "raw", strict: bool =
     return LibsvmStream(path, d=d, labels=labels, strict=strict)
 
 
+# Covariate cells formatted at a time by ``write_libsvm``.
+_WRITE_CELLS = 1 << 14
+
+
 def write_libsvm(path, y, X) -> None:
     """Write dense records in libsvm format (1-based indices, zeros omitted)."""
     y = np.asarray(y)
     X = np.asarray(X)
+    if X.ndim != 2 or X.shape[0] != len(y):
+        raise InvalidInputError(f"{len(y)} labels do not match X of shape {X.shape}")
+    # blocks of rows keep the formatted text small next to X
+    step = max(1, _WRITE_CELLS // max(X.shape[1], 1))
     with open(path, "w") as fh:
-        for i in range(len(y)):
-            label = y[i]
-            text = f"{int(label)}" if float(label).is_integer() else repr(float(label))
-            row = X[i]
-            nz = np.flatnonzero(row)
-            cells = " ".join(f"{j + 1}:{row[j]:.17g}" for j in nz)
-            fh.write(f"{text} {cells}\n".rstrip() + "\n")
+        for lo in range(0, len(y), step):
+            block = X[lo : lo + step]
+            rows, cols = np.nonzero(block)
+            cells = [f"{j}:{v:.17g}" for j, v in zip((cols + 1).tolist(), block[rows, cols].tolist())]
+            bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+            for i, label in enumerate(y[lo : lo + step].tolist()):
+                text = f"{int(label)}" if float(label).is_integer() else repr(float(label))
+                fh.write(" ".join([text, *cells[bounds[i] : bounds[i + 1]]]) + "\n")
 
 
 # --- synthetic data ----------------------------------------------------------

@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import InvalidInputError, MetricError
 from .mappings import MappingSpec, _materialize, batch_log_likelihood
@@ -119,6 +118,26 @@ def test_nll_predictive(spec: MappingSpec, posterior, data, draws: int = 100, se
     return -float(np.mean(acc - np.log(draws)))
 
 
+def _average_ranks(a) -> np.ndarray:
+    """1-based ranks of the flattened ``a``, ties sharing their mean rank.
+
+    Equal to ``scipy.stats.rankdata(a, method="average")``, bit for bit: a
+    NaN anywhere makes every rank NaN.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    if np.isnan(a).any():
+        return np.full(a.size, np.nan)
+    sorter = np.argsort(a, kind="stable")
+    inv = np.empty(a.size, dtype=np.intp)
+    inv[sorter] = np.arange(a.size)
+    sorted_a = a[sorter]
+    obs = np.concatenate(([True], sorted_a[1:] != sorted_a[:-1]))
+    dense = np.cumsum(obs)[inv]
+    # count[k] is the number of values below the k-th distinct value
+    count = np.concatenate((np.flatnonzero(obs), [a.size]))
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def roc_auc(scores, labels) -> float:
     """Area under the ROC curve via the Mann-Whitney statistic; ties count 1/2."""
     scores = np.asarray(scores, dtype=float)
@@ -128,7 +147,7 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC is undefined without both classes present")
-    ranks = sstats.rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     u = float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

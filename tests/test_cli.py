@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from passglm.cli import build_parser, main
+from passglm.cli import _gaussian_from_json, build_parser, main
 from passglm.data import ArrayStream, build_stats, parse_libsvm, write_libsvm
 from passglm.chebyshev import fit_chebyshev
 from passglm.mappings import fit_terms, mapping_cauchy, mapping_logit
@@ -249,6 +253,23 @@ class TestFitAndEval:
         expected = posterior_lr2(stats, approx, PriorSpec.gaussian(4.0))
         np.testing.assert_allclose(doc["mean"], expected.mean, rtol=1e-12)
 
+    def test_fit_document_reads_back_bit_identical(self, dataset, tmp_path):
+        path, _, _ = dataset
+        stats_path = tmp_path / "stats.pglm"
+        run("stats", "build", "--input", path, "--model", "logit", "--degree", 2,
+            "--radius", 4, "--dim", 3, "--out", stats_path)
+        post_path = tmp_path / "posterior.json"
+        run("fit", "--stats", stats_path, "--prior", "gaussian:4", "--out", post_path)
+        text = post_path.read_text()
+        assert text.count("\n") == 1  # compact: one line
+        stats = load_stats(stats_path)
+        (approx,) = fit_terms(stats.mapping, 2, stats.radius)
+        written = posterior_lr2(stats, approx, PriorSpec.gaussian(4.0))
+        back = _gaussian_from_json(json.loads(text))
+        assert np.array_equal(back.mean, written.mean)
+        assert np.array_equal(back.chol, written.chol)
+        assert back.logdet == written.logdet
+
     def test_fit_merges_multiple_stats_files(self, dataset, tmp_path):
         path, y, X = dataset
         half_a, half_b = tmp_path / "a.svm", tmp_path / "b.svm"
@@ -373,3 +394,22 @@ class TestSurrogateFitPath:
         assert doc["domain_radius"] == 2.0
         assert len(doc["map"]) == 2
         assert len(doc["laplace"]["mean"]) == 2
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    # checks which modules load, not how long loading takes, so a busy machine
+    # cannot make it flaky; scipy.stats would be most of every process start
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import passglm, passglm.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'stats'], ['scipy', 'optimize'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -59,6 +59,42 @@ class TestParseLibsvm:
         np.testing.assert_array_equal(yb, y)
         np.testing.assert_allclose(Xb, X, rtol=1e-15)
 
+    @pytest.mark.parametrize("cells", [16, data._WRITE_CELLS], ids=["2-row-blocks", "one-block"])
+    def test_write_matches_per_row_writer_byte_for_byte(self, tmp_path, monkeypatch, cells):
+        monkeypatch.setattr(data, "_WRITE_CELLS", cells)
+
+        def per_row(path, y, X):
+            y, X = np.asarray(y), np.asarray(X)
+            with open(path, "w") as fh:
+                for i in range(len(y)):
+                    label = y[i]
+                    text = f"{int(label)}" if float(label).is_integer() else repr(float(label))
+                    row = X[i]
+                    nz = np.flatnonzero(row)
+                    cells = " ".join(f"{j + 1}:{row[j]:.17g}" for j in nz)
+                    fh.write(f"{text} {cells}\n".rstrip() + "\n")
+
+        rng = np.random.default_rng(11)
+        n, d = 400, 7
+        X = np.where(rng.random((n, d)) < 0.4, rng.normal(0, 1, (n, d)), 0.0)
+        X[0] = 0.0  # all-zero rows, first, inner and last
+        X[57] = 0.0
+        X[-1] = 0.0
+        X[1] = [-0.0, 1e-300, 0.1, -5e-324, 1e300, -0.0, 3.0]
+        X[2, 3] = np.nan
+        for y in (
+            np.where(rng.random(n) < 0.5, 1.0, -1.0),
+            rng.integers(0, 9, n),
+            np.round(rng.normal(0, 1, n), 3),
+            np.where(rng.random(n) < 0.1, np.nan, rng.normal(0, 1, n)),
+        ):
+            ours, oracle = tmp_path / "ours.svm", tmp_path / "oracle.svm"
+            write_libsvm(ours, y, X)
+            per_row(oracle, y, X)
+            assert ours.read_bytes() == oracle.read_bytes()
+        with pytest.raises(InvalidInputError, match=r"399 labels do not match X of shape \(400, 7\)"):
+            write_libsvm(tmp_path / "short.svm", y[:-1], X)
+
     def test_malformed_line_strict(self, tmp_path):
         path = tmp_path / "d.svm"
         path.write_text("+1 1:0.5\n+1 oops\n")

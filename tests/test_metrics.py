@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from passglm.errors import InvalidInputError, MetricError
 from passglm.data import synthesize_arrays
 from passglm.mappings import MAPPING_FACTORIES, fit_terms, get_mapping, mapping_logit
 from passglm.metrics import (
+    _average_ranks,
     compare_posteriors,
     gaussian_w2,
     inner_product_histogram,
@@ -107,6 +109,37 @@ class TestTestNllPredictive:
         assert eval_nll_predictive(spec, post, data, draws=50, seed=1) == pytest.approx(
             eval_nll(spec, theta, data), rel=1e-12
         )
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([]),
+            np.array([3.5]),
+            np.array([2.0, -1.0]),
+            np.array([1.0, 1.0]),
+            np.random.default_rng(7).normal(0, 1, 100_000),
+            np.random.default_rng(8).integers(-5, 5, 100_000).astype(float),
+            np.array([np.inf, -np.inf, 0.0, -0.0, np.inf, 1.0, -np.inf]),
+        ],
+        ids=["empty", "one", "two", "tied-pair", "100k", "100k-heavy-ties", "inf"],
+    )
+    def test_matches_scipy_rankdata_bit_for_bit(self, a):
+        ranks = _average_ranks(a)
+        expected = stats.rankdata(a, method="average")
+        assert ranks.dtype == expected.dtype
+        assert np.array_equal(ranks, expected)
+
+    def test_nan_makes_every_rank_nan(self):
+        a = np.array([0.3, np.nan, -1.0, 0.3])
+        ranks = _average_ranks(a)
+        expected = stats.rankdata(a, method="average")
+        assert ranks.shape == expected.shape == (4,)
+        assert np.isnan(ranks).all() and np.isnan(expected).all()
+
+    def test_auc_of_nan_scores_is_nan(self):
+        assert math.isnan(roc_auc([0.1, np.nan, 0.8, 0.9], [-1, -1, 1, 1]))
 
 
 class TestRocAuc:
