@@ -18,6 +18,19 @@ Two accumulation forms exist:
   where the per-record coefficient folds in the fitted polynomial because it
   depends on ``y_n``.
 
+Both forms run through one kernel, ``_delta``.  A degree-``m`` index splits
+into a head (its first ``m // 2`` variables) and a tail (the other
+``m - m // 2``), so its entry is the sum over records of a head monomial
+times a weighted tail monomial.  The kernel therefore builds record-major
+monomials only up to degree ``ceil(M / 2)`` (at d = 10, M = 6, 285 columns
+of degrees 1 to 3 instead of all 8,008 indices) and takes each degree's
+entries from one matrix product of the head block with the weighted tail
+block, read at the cached head and tail positions of
+``MultiIndexSet.halves``.  Degree 1 is a (weighted) column sum and degree 2
+one whole ``d x d`` Gram matrix.  ``_BLOCK_BYTES`` bounds the monomials above
+degree 1 of one block of records and each product of degree 3 or more, whose
+heads are split into chunks; with ``M <= 2`` a batch is one block.
+
 Every entry carries a Kahan compensation term so that sharded accumulation
 and merge agree with a sequential pass to near machine precision.
 """
@@ -62,8 +75,9 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHHdQHdQ")
 
 
-# Upper bound on the (|K|, B) monomial block of one degree >= 3 accumulation step.
-_BLOCK_BYTES = 1 << 24
+# Upper bound on the monomials above degree 1 of one block of records, and on
+# each matrix product of degree >= 3; chosen by a sweep on d = 10, M = 6.
+_BLOCK_BYTES = 1 << 22
 
 
 class MultiIndexSet:
@@ -126,14 +140,38 @@ class MultiIndexSet:
             out[:, k] = out[:, k - 1] * (above + k - 1) // k
         return out
 
+    def _rank(self, cols: np.ndarray) -> np.ndarray:
+        """Positions within the degree-``j`` block of the indices whose ``j``
+        nondecreasing variables are the columns of ``cols``; ``position``
+        for one degree without padding."""
+        j = cols.shape[1]
+        after = np.zeros(len(cols), dtype=np.int64)
+        for i in range(j):
+            after += self._tails[cols[:, i], j - i]
+        return self.offsets[j + 1] - self.offsets[j] - 1 - after
+
+    def _block(self, m: int) -> np.ndarray:
+        return self.rows[self.offsets[m] : self.offsets[m + 1]]
+
     @cached_property
-    def parent(self) -> np.ndarray:
-        """Position of every index with its last variable dropped (0 for the
-        constant): index ``i`` is ``parent[i]`` times ``rows[i, degrees[i] - 1]``."""
-        prefix = self.rows.copy()
-        hit = np.flatnonzero(self.degrees > 0)
-        prefix[hit, self.degrees[hit] - 1] = -1
-        return self.position(prefix)
+    def parent(self) -> list:
+        """``parent[j]`` for ``2 <= j <= ceil(M / 2)``: for each index of degree
+        ``j``, the position within the degree ``j - 1`` block of the index
+        with its last variable dropped."""
+        top = (self.M + 1) // 2
+        return [None, None] + [self._rank(self._block(j)[:, : j - 1]) for j in range(2, top + 1)]
+
+    @cached_property
+    def halves(self) -> list:
+        """``halves[m] = (head, tail)`` for ``m >= 2``: for each index of degree
+        ``m``, the position of its first ``m // 2`` variables within the degree
+        ``m // 2`` block and of its last ``m - m // 2`` within theirs.  ``head``
+        is nondecreasing, as a degree block is in lexicographic order."""
+        out = [None, None]
+        for m in range(2, self.M + 1):
+            block = self._block(m)
+            out.append((self._rank(block[:, : m // 2]), self._rank(block[:, m // 2 : m])))
+        return out
 
 
 def enumerate_indices(d: int, M: int, cap: int = DEFAULT_INDEX_CAP) -> MultiIndexSet:
@@ -153,25 +191,66 @@ def enumerate_indices(d: int, M: int, cap: int = DEFAULT_INDEX_CAP) -> MultiInde
             f"{cap}; reduce the dimension (sparse random projection) or raise the cap"
         )
     # each degree-m row extends a degree-(m - 1) row by one variable >= its last
-    blocks = [np.full((1, M), -1, dtype=np.int64)]
-    prev, low = blocks[0][:, :0], np.zeros(1, dtype=np.int64)
+    rows = np.full((count, M), -1, dtype=np.int64)
+    prev, low, at = rows[:1, :0], np.zeros(1, dtype=np.int64), 1
     for m in range(1, M + 1):
         counts = d - low
         src = np.repeat(np.arange(len(prev)), counts)
         ends = np.cumsum(counts)
         low = np.arange(ends[-1]) - np.repeat(ends - counts, counts) + low[src]
-        prev = np.column_stack([prev[src], low])
-        blocks.append(np.pad(prev, ((0, 0), (0, M - m)), constant_values=-1))
-    rows = np.concatenate(blocks)
-    assert len(rows) == count
+        block = rows[at : at + len(src), :m]
+        block[:, : m - 1] = prev[src]
+        block[:, m - 1] = low
+        prev, at = block, at + len(src)
+    assert at == count
     return MultiIndexSet(d, M, rows)
 
 
-def _kahan_add(t: np.ndarray, comp: np.ndarray, delta) -> None:
-    y = delta - comp
-    s = t + y
-    comp[:] = (s - t) - y
-    t[:] = s
+# the index sets of sparse records' own coordinates, shared by records with
+# as many distinct coordinates; each is no larger than the set they map into
+_local_indices = lru_cache(maxsize=16)(enumerate_indices)
+
+
+def _kahan_add(t: np.ndarray, comp: np.ndarray, delta, at=slice(None)) -> None:
+    y = delta - comp[at]
+    s = t[at] + y
+    comp[at] = (s - t[at]) - y
+    t[at] = s
+
+
+def _delta(iset: MultiIndexSet, base: np.ndarray, G: np.ndarray | None) -> np.ndarray:
+    """Statistics of one block of records: ``base`` is ``(B, d)`` (``y x`` for
+    raw monomial sums, else ``x``) and ``G`` the ``(B, M + 1)`` degree weights,
+    ``None`` for raw sums.
+
+    Record-major monomials are built only up to degree ``ceil(M / 2)``.  The
+    entry of a degree-``m`` index is the sum over records of its head
+    monomial times its weighted tail monomial (``MultiIndexSet.halves``), so
+    each chunk of heads takes one matrix product; the tails a chunk needs are
+    a suffix of the tail block in canonical order.
+    """
+    mono = [None, base]
+    for j in range(2, len(iset.parent)):
+        mono.append(mono[j - 1][:, iset.parent[j]] * base[:, iset._block(j)[:, j - 1]])
+    delta = np.empty(len(iset))
+    delta[0] = len(base) if G is None else G[:, 0].sum()
+    if iset.M >= 1:
+        delta[1 : iset.d + 1] = base.sum(axis=0) if G is None else base.T @ G[:, 1]
+    for m in range(2, iset.M + 1):
+        heads, tails = mono[m // 2], mono[m - m // 2]
+        head, tail = iset.halves[m]
+        weighted = tails if G is None else G[:, m, None] * tails
+        # degree 2 is the d x d Gram matrix, taken whole as one product
+        span = heads.shape[1] if m == 2 else max(1, _BLOCK_BYTES // (8 * tails.shape[1]))
+        out = delta[iset.offsets[m] : iset.offsets[m + 1]]
+        for a in range(0, heads.shape[1], span):
+            lo, hi = np.searchsorted(head, (a, a + span))
+            s = tail[lo:hi].min()
+            P = heads[:, a : a + span].T @ weighted[:, s:]
+            out[lo:hi] = P[head[lo:hi] - a, tail[lo:hi] - s]
+    if G is not None:
+        delta *= iset.multinom
+    return delta
 
 
 class SuffStats:
@@ -254,74 +333,62 @@ class SuffStats:
             warnings.warn(
                 "covariate 2-norm exceeds 1; the approximation-quality theory "
                 "assumes normalized covariates (consider rescaling at ingest)",
-                stacklevel=3,
+                stacklevel=4,
             )
 
     def accumulate(self, y: float, x) -> "SuffStats":
         """Absorb one record.  ``x`` is a dense 1-D array or an
-        ``(indices, values)`` pair of sparse coordinates."""
-        dense = _as_dense(x, self.index_set.d)
-        return self.accumulate_batch(np.asarray([y], dtype=float), dense[None, :])
+        ``(indices, values)`` pair of sparse coordinates.  A sparse record
+        updates only the statistics of its own coordinates: the kernel runs
+        on them alone and its entries are added at their global positions."""
+        iset = self.index_set
+        if not (isinstance(x, tuple) and len(x) == 2):
+            dense = np.asarray(x, dtype=float)
+            if dense.ndim != 1:
+                raise InvalidInputError("covariate must be a vector or (indices, values)")
+            if dense.size != iset.d:
+                raise InvalidInputError(f"covariate has dimension {dense.size}, expected {iset.d}")
+            return self.accumulate_batch(np.asarray([y], dtype=float), dense[None, :])
+        idx = np.asarray(x[0], dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= iset.d):
+            raise InvalidInputError(f"covariate index out of range for dimension {iset.d}")
+        cols, inv = np.unique(idx, return_inverse=True)
+        if not cols.size:  # an empty record still adds to the constant's entry
+            cols = np.zeros(1, dtype=np.int64)
+        local = np.zeros((1, cols.size))
+        local[0, inv] = x[1]  # a repeated index keeps the value assigned last
+        sub = _local_indices(cols.size, iset.M, len(iset))
+        at = iset.position(np.where(sub.rows >= 0, cols[sub.rows], -1))
+        return self._absorb(np.asarray([y], dtype=float), local, sub, at)
 
     def accumulate_batch(self, y: np.ndarray, X: np.ndarray) -> "SuffStats":
         """Absorb a batch of records given as dense arrays ``y: (B,)``, ``X: (B, d)``."""
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.index_set.d:
             raise InvalidInputError(
                 f"covariate batch must be (B, {self.index_set.d}), got {X.shape}"
             )
+        return self._absorb(np.asarray(y, dtype=float), X, self.index_set, slice(None))
+
+    def _absorb(self, y: np.ndarray, X: np.ndarray, iset: MultiIndexSet, at) -> "SuffStats":
+        """Add the statistics of ``iset`` over the records ``(y, X)`` at the
+        entries ``at`` of this accumulator, one block of records at a time;
+        a block's monomials above degree 1 fill at most ``_BLOCK_BYTES``."""
         if not np.all(np.isfinite(X)):
             bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
             raise NumericError("non-finite covariate value", record_index=self.n + bad)
         y = self.mapping.canonicalize_y(y, first_record=self.n)
         self._check_norm((X * X).sum(axis=1))
 
-        iset = self.index_set
         base = y[:, None] * X if self.mapping.raw_monomial else X
         G = None if self.mapping.raw_monomial else degree_weights(self.mapping, self.approxes, y)
-        if iset.M <= 2:
-            _kahan_add(self.t, self.comp, self._batch_delta_m2(base, G))
-        else:
-            step = max(1, _BLOCK_BYTES // (8 * len(iset)))
-            for lo in range(0, len(y), step):
-                sub = None if G is None else G[lo : lo + step]
-                _kahan_add(self.t, self.comp, self._block_delta(base[lo : lo + step], sub))
+        above = sum(map(len, iset.parent[2:]))
+        step = max(1, len(y) if above == 0 else _BLOCK_BYTES // (8 * above))
+        for lo in range(0, len(y), step):
+            sub = None if G is None else G[lo : lo + step]
+            _kahan_add(self.t, self.comp, _delta(iset, base[lo : lo + step], sub), at)
         self.n += len(y)
         return self
-
-    def _batch_delta_m2(self, base: np.ndarray, G: np.ndarray | None) -> np.ndarray:
-        """Degree <= 2 batch update via one rank-B matrix product, whose upper
-        triangle is the degree-2 block."""
-        iset = self.index_set
-        raw = G is None
-        parts = [np.asarray([len(base) if raw else G[:, 0].sum()], dtype=float)]
-        if iset.M >= 1:
-            parts.append(base.sum(axis=0) if raw else base.T @ G[:, 1])
-        if iset.M >= 2:
-            G2 = base.T @ (base if raw else G[:, 2, None] * base)
-            pairs = iset.rows[iset.offsets[2] :]
-            parts.append(G2[pairs[:, 0], pairs[:, 1]])
-        delta = np.concatenate(parts)
-        return delta if raw else iset.multinom * delta
-
-    def _block_delta(self, base: np.ndarray, G: np.ndarray | None) -> np.ndarray:
-        """Degree >= 3 update of one block of records: the monomials of every
-        index are built as a row-major (|K|, B) array, one gathered product
-        per degree, so no (B, |K|) array is formed."""
-        iset = self.index_set
-        Z = np.ascontiguousarray(base.T)
-        mono = np.empty((len(iset), Z.shape[1]))
-        mono[0] = 1.0
-        delta = np.empty(len(iset))
-        delta[0] = Z.shape[1] if G is None else G[:, 0].sum()
-        for m in range(1, iset.M + 1):
-            lo, hi = iset.offsets[m], iset.offsets[m + 1]
-            block = mono[lo:hi]
-            np.take(mono, iset.parent[lo:hi], axis=0, out=block)
-            block *= Z[iset.rows[lo:hi, m - 1]]
-            delta[lo:hi] = block.sum(axis=1) if G is None else block @ G[:, m]
-        return delta if G is None else iset.multinom * delta
 
     # -- merging -------------------------------------------------------------
 
@@ -337,22 +404,6 @@ class SuffStats:
         _kahan_add(out.t, out.comp, other.comp)
         out.n = self.n + other.n
         return out
-
-
-def _as_dense(x, d: int) -> np.ndarray:
-    if isinstance(x, tuple) and len(x) == 2:
-        idx = np.asarray(x[0], dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= d):
-            raise InvalidInputError(f"covariate index out of range for dimension {d}")
-        dense = np.zeros(d)
-        dense[idx] = x[1]
-        return dense
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError("covariate must be a vector or (indices, values)")
-    if arr.size != d:
-        raise InvalidInputError(f"covariate has dimension {arr.size}, expected {d}")
-    return arr
 
 
 def new_stats(
