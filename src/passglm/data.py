@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing as mp
+import pickle
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidInputError, PassGlmError
+from .errors import InvalidInputError, NumericError, PassGlmError
 from .mappings import MappingSpec, get_mapping
 from .suffstats import SuffStats, enumerate_indices, deserialize, new_stats, serialize
 
@@ -417,6 +419,9 @@ def synthesize(model: str, d: int, n: int, seed: int, theta_true, path, scale: f
 
 # --- sparse random projection ------------------------------------------------
 
+# Uniforms drawn at a time by ``ProjectionSpec._rows`` (512 KB).
+_DRAW_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ProjectionSpec:
@@ -453,22 +458,30 @@ class ProjectionSpec:
     def _rows(self, rows) -> sp.csr_matrix:
         """The ``(input_dim, output_dim)`` projection matrix with only the
         given rows filled.  Row ``j`` is drawn from ``Philox(key=[seed, j])``
-        from its start; one bit generator is re-keyed per row."""
+        from its start; one bit generator is re-keyed per row.  Uniforms are
+        drawn for a block of rows at a time, at most ``_DRAW_CELLS`` of them."""
         rows = self._input_rows(rows)
         bits = np.random.Philox(key=[self.seed, 0])
         gen = np.random.Generator(bits)
         start = bits.state
-        u = np.empty((rows.size, self.output_dim))
-        for r, j in enumerate(rows):
-            start["state"]["key"][1] = j
-            bits.state = start
-            gen.random(out=u[r])
         s = self.sparsity
-        hit = np.nonzero(u < 1.0 / s)
         mag = math.sqrt(s / self.output_dim)
-        vals = np.where(u[hit] < 0.5 / s, mag, -mag)
+        step = max(1, _DRAW_CELLS // max(self.output_dim, 1))
+        u = np.empty((min(step, rows.size), self.output_dim))
+        at, cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        for lo in range(0, rows.size, step):
+            block = rows[lo : lo + step]
+            for r, j in enumerate(block):
+                start["state"]["key"][1] = j
+                bits.state = start
+                gen.random(out=u[r])
+            hit = np.nonzero(u[: block.size] < 1.0 / s)
+            at.append(block[hit[0]])
+            cols.append(hit[1])
+            vals.append(np.where(u[hit] < 0.5 / s, mag, -mag))
         return sp.csr_matrix(
-            (vals, (rows[hit[0]], hit[1])), shape=(self.input_dim, self.output_dim)
+            (np.concatenate(vals), (np.concatenate(at), np.concatenate(cols))),
+            shape=(self.input_dim, self.output_dim),
         )
 
 
@@ -476,9 +489,10 @@ class ProjectedStream(RecordStream):
     """Stream view applying a sparse random projection to every record.
 
     Each batch is one sparse product with the rows of the projection matrix
-    its records use; rows are drawn once, when first used, and kept for the
-    stream's lifetime.  Each term of an output entry is added in increasing
-    input index order, as a per-record sum of columns would add them.
+    its records use; the base may yield dense or sparse batches.  Rows are
+    drawn once, when first used, and kept for the stream's lifetime.  Each
+    term of an output entry is added in increasing input index order, as a
+    per-record sum of columns would add them.
     """
 
     def __init__(self, base: RecordStream, spec: ProjectionSpec):
@@ -522,9 +536,12 @@ class ProjectedStream(RecordStream):
         return ProjectedStream(self.base.shard(index, count), self.spec)
 
 
-def _csr(X: np.ndarray) -> sp.csr_matrix:
-    """CSR form of a dense batch (what ``sp.csr_matrix(X)`` gives, found
-    through a boolean mask, which numpy scans several times faster)."""
+def _csr(X) -> sp.csr_matrix:
+    """CSR form of a batch.  For a dense batch it is what
+    ``sp.csr_matrix(X)`` gives, found through a boolean mask, which numpy
+    scans several times faster."""
+    if sp.issparse(X):
+        return X.tocsr()
     flat = np.ravel(X)
     at = np.flatnonzero(flat != 0)
     rows, cols = np.divmod(at, X.shape[1])
@@ -557,21 +574,6 @@ def build_stats(
     return stats
 
 
-# (shard streams, mapping) of the running ``run_sharded`` call; forked workers
-# inherit it instead of receiving it pickled
-_FORK_JOB = None
-
-
-def _shard_worker(args):
-    shard_id, M, radius, batch_size = args
-    streams, mapping = _FORK_JOB
-    stream = streams[shard_id]
-    try:
-        return shard_id, serialize(build_stats(stream, mapping, M, radius, batch_size=batch_size))
-    except PassGlmError as exc:
-        raise PassGlmError(f"shard {shard_id} failed: {exc}") from exc
-
-
 def run_sharded(
     source,
     shards: int,
@@ -581,49 +583,191 @@ def run_sharded(
     batch_size: int = DEFAULT_BATCH,
     d: int | None = None,
 ) -> SuffStats:
-    """Accumulate statistics over ``shards`` workers and merge the results.
+    """Accumulate statistics over ``shards`` worker processes and merge the
+    results in shard order.
 
-    ``source`` is either a :class:`RecordStream` (partitioned round-robin) or
-    a list of file paths (one shard per file when the counts match, otherwise
-    files are distributed round-robin over at most ``len(source)`` shards).
-    With ``shards == 1`` this is exactly the sequential path.  Workers run as
-    forked processes; when fork is unavailable the shards run sequentially
-    in-process, which changes timing but not the result.
+    ``source`` is either a list of file paths or a :class:`RecordStream`.
+    Files split natively: one shard per file when the counts match, otherwise
+    files are distributed round-robin over at most ``len(source)`` shards, and
+    each worker reads its own files.  A stream is split round-robin: shard
+    ``i`` holds the records of ``source.shard(i, shards)``, numbers ``i, i +
+    shards, ...``.  A stream whose type splits itself, such as an
+    :class:`ArrayStream`, gives each worker its own shard.  Any other stream
+    is read once, here, and each batch is dealt out: every worker receives its
+    records of the batch over a pipe.  A :class:`ProjectedStream` splits as
+    its base does; when the base is dealt, its records go out as sparse rows
+    and each worker projects its own.  Either way a worker folds the batches
+    that ``build_stats(source.shard(i, shards))`` folds, so the statistics do
+    not depend on the route.
+
+    With ``shards == 1`` this is exactly the sequential path.  Workers are
+    forked processes that send back their serialized statistics; when fork is
+    unavailable the shards run one after another in-process, which changes
+    timing but not the result.  An error of the reader is raised as it is.
+    An error of a worker is raised with its own type and a message naming the
+    shard; a :class:`NumericError` of a round-robin shard carries the record's
+    number in the whole stream.  No worker outlives the call.
     """
     if shards < 1:
         raise InvalidInputError("shard count must be >= 1")
-    if isinstance(source, (list, tuple)):
+    round_robin = not isinstance(source, (list, tuple))
+    streams = None
+    if not round_robin:
         shards = min(shards, max(1, len(source)))
         streams = _file_shards(source, shards, d)
-    else:
-        if shards == 1:
-            return build_stats(source, mapping, M, radius, batch_size=batch_size)
-        streams = [source.shard(i, shards) for i in range(shards)]
     if shards == 1:
-        return build_stats(streams[0], mapping, M, radius, batch_size=batch_size)
+        return build_stats(streams[0] if streams else source, mapping, M, radius, batch_size=batch_size)
     if mapping.model_id is None:
         raise InvalidInputError(
             f"sharded execution requires a registered model; mapping {mapping.name!r} has no model id"
         )
-
-    global _FORK_JOB
-    _FORK_JOB = streams, mapping
-    args = [(i, M, radius, batch_size) for i in range(shards)]
-    try:
-        if "fork" in mp.get_all_start_methods():
-            ctx = mp.get_context("fork")
-            with ctx.Pool(processes=shards) as pool:
-                results = pool.map(_shard_worker, args)
-        else:
-            results = [_shard_worker(a) for a in args]
-    finally:
-        _FORK_JOB = None
-    results.sort(key=lambda pair: pair[0])
+    if round_robin:
+        base = source.base if isinstance(source, ProjectedStream) else source
+        if type(base).shard is not RecordStream.shard:
+            streams = [source.shard(i, shards) for i in range(shards)]
+    job = mapping, M, radius, batch_size
+    if "fork" in mp.get_all_start_methods():
+        payloads = _fork_shards(source, streams, shards, job, round_robin)
+    else:
+        streams = streams or [source.shard(i, shards) for i in range(shards)]
+        payloads = [
+            _payload(_fold_shard(s, *job), i, shards, round_robin) for i, s in enumerate(streams)
+        ]
     merged = None
-    for _, payload in results:
+    for payload in payloads:
         part = deserialize(payload)
         merged = part if merged is None else merged.merge(part)
     return merged
+
+
+def _fork_shards(source, streams, count: int, job, round_robin: bool) -> list[bytes]:
+    """Serialized statistics of each shard, each folded in a forked process
+    of its own.  With ``streams`` a worker reads its own stream; without,
+    ``source`` is read here and dealt (see :func:`run_sharded`)."""
+    ctx = mp.get_context("fork")
+    projected = isinstance(source, ProjectedStream)
+    reader = source.base if projected else source
+    conns, procs = [], []
+
+    def send(i: int, piece) -> None:
+        try:
+            conns[i].send(piece)
+        except OSError:  # the worker is gone: raise what stopped it
+            _payload(_receive(conns[i], procs[i], i, count), i, count, round_robin)
+            raise PassGlmError(f"shard {i} of {count}: worker stopped reading") from None
+
+    try:
+        for i in range(count):
+            conn, child = ctx.Pipe()
+            if streams is not None:
+                stream = streams[i]
+            else:
+                stream = _DealtStream(child, reader.d)
+                if projected:
+                    stream = ProjectedStream(stream, source.spec)
+            proc = ctx.Process(
+                target=_shard_process, args=(child, [*conns, conn], stream, job), daemon=True
+            )
+            proc.start()
+            child.close()  # so that a dead worker reads as end of file, not silence
+            conns.append(conn)
+            procs.append(proc)
+        if streams is None:
+            if projected:  # the source counts its pass, as its base does
+                source.passes += 1
+            offset = 0
+            for y, X in reader.batches(job[3]):
+                A = _csr(X) if projected else X
+                for i in range(count):
+                    first = (i - offset) % count
+                    if first < len(y):
+                        send(i, (y[first::count], A[first::count]))
+                offset += len(y)
+            for i in range(count):
+                send(i, None)
+        return [
+            _payload(_receive(conn, proc, i, count), i, count, round_robin)
+            for i, (conn, proc) in enumerate(zip(conns, procs))
+        ]
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+class _DealtStream(RecordStream):
+    """A worker's shard as the reader deals it: ``(y, X)`` pieces received
+    over a pipe, up to ``None``."""
+
+    def __init__(self, conn, d: int):
+        self.conn = conn
+        self.d = d
+        self.passes = 0
+
+    def _iter_batches(self, batch_size: int):
+        while (piece := self.conn.recv()) is not None:
+            yield piece
+
+
+def _fold_shard(stream, mapping, M, radius, batch_size):
+    """``("ok", serialized statistics)`` of one shard, or ``("error",
+    exception, traceback text)``."""
+    try:
+        return "ok", serialize(build_stats(stream, mapping, M, radius, batch_size=batch_size))
+    except Exception as exc:  # sent to the parent, which raises it
+        return "error", exc, traceback.format_exc()
+
+
+def _shard_process(conn, inherited, stream, job) -> None:
+    """Body of a shard's worker process: fold the shard, send the reply."""
+    for parent_end in inherited:  # the parent's ends of this and earlier pipes
+        parent_end.close()
+    reply = _fold_shard(stream, *job)
+    if reply[0] == "error":
+        try:
+            pickle.loads(pickle.dumps(reply[1]))
+        except Exception:  # the exception cannot cross the pipe: send its text
+            reply = "error", PassGlmError(f"{type(reply[1]).__name__}: {reply[1]}"), reply[2]
+    conn.send(reply)
+    conn.close()
+
+
+def _receive(conn, proc, index: int, count: int):
+    """The reply of shard ``index``'s worker; an error if it died without one."""
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        proc.join()
+        raise PassGlmError(
+            f"shard {index} of {count}: worker exited with code {proc.exitcode} before replying"
+        ) from None
+
+
+class _WorkerTraceback(Exception):
+    """Where a worker's error was raised, as text; the cause of the error
+    raised again in the parent."""
+
+
+def _payload(reply, index: int, count: int, round_robin: bool) -> bytes:
+    """The serialized statistics of a shard's reply.  An error reply is raised
+    with the shard named in its message and, for a :class:`NumericError` of a
+    round-robin shard, the record numbered in the whole stream."""
+    if reply[0] == "ok":
+        return reply[1]
+    _, exc, trace = reply
+    where = f"shard {index} of {count}"
+    if round_robin and isinstance(exc, NumericError) and exc.record_index is not None:
+        record = index + count * exc.record_index
+        where += f" (its record {exc.record_index} is record {record} of the stream)"
+        exc.record_index = record
+    if exc.args and isinstance(exc.args[0], str):
+        exc.args = (f"{where}: {exc.args[0]}", *exc.args[1:])
+    raise exc from _WorkerTraceback(f"{where}\n{trace}")
 
 
 def _file_shards(paths, shards: int, d: int | None = None):

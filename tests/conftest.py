@@ -1,4 +1,20 @@
+import multiprocessing
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running; the leftovers are
+    terminated so that they cannot fail the next test too."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    if left:
+        pytest.fail(f"child processes left running: {left}")

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import multiprocessing as mp
 import os
+import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +26,9 @@ from passglm.data import (
     synthesize_arrays,
     write_libsvm,
 )
-from passglm.errors import InvalidInputError
+from passglm.errors import InvalidInputError, NumericError, PassGlmError
 from passglm.mappings import mapping_logit, mapping_poisson, mapping_shuber
+from passglm.suffstats import deserialize, serialize
 from passglm.posterior import PriorSpec
 
 
@@ -389,6 +393,27 @@ class TestProjection:
         frac_nonzero = np.mean(col != 0)
         assert frac_nonzero == pytest.approx(1.0 / s, rel=0.5)
 
+    def test_rows_drawn_in_blocks_equal_single_rows(self, monkeypatch):
+        spec = ProjectionSpec(seed=16, input_dim=400, output_dim=7)
+        rows = np.array([3, 9, 10, 57, 200, 201, 399])
+        monkeypatch.setattr(data, "_DRAW_CELLS", 2 * 7 + 1)  # blocks of two rows
+        P = spec._rows(rows)
+        for j in range(400):
+            want = spec.column(j) if j in rows else np.zeros(7)
+            np.testing.assert_array_equal(bits(P[j].toarray()[0]), bits(want))
+
+    def test_row_draw_memory_is_bounded(self):
+        spec = ProjectionSpec(seed=17, input_dim=20_000, output_dim=500)
+        rows = np.arange(0, 20_000, 2)  # 10,000 rows: 40 MB of uniforms at once
+        tracemalloc.start()
+        try:
+            P = spec._rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P.nnz > 0
+        assert peak < 8 * 2**20, f"drawing the rows peaked at {peak / 2**20:.1f} MB"
+
 
 # Labels drawn with theta_true = (0.5, -0.3, 0.8), d = 3 and n = 10, by
 # synthesize_arrays (seed 11) and SyntheticStream (seed 12); the shuber,
@@ -628,7 +653,7 @@ class TestRunSharded:
         monkeypatch.setattr(data.mp, "get_context", no_pool)
         with pytest.raises(InvalidInputError, match="model id"):
             run_sharded(self._dataset(100), 2, custom, 2, 4.0)
-        assert data._FORK_JOB is None
+        assert not mp.active_children()
 
     def test_workers_use_the_callers_mapping(self):
         rng = np.random.default_rng(10)
@@ -638,3 +663,174 @@ class TestRunSharded:
         sequential = build_stats(ArrayStream(y, X), mapping_shuber(2.5), 4, 2.0)
         assert sharded.mapping.scale == 2.5
         np.testing.assert_allclose(sharded.values(), sequential.values(), rtol=1e-10)
+
+
+class Rows(RecordStream):
+    """A stream without a shard of its own: ``run_sharded`` deals its records."""
+
+    def __init__(self, y, X):
+        self.y, self.X, self.d = y, X, X.shape[1]
+
+    def _iter_batches(self, batch_size):
+        for lo in range(0, len(self.y), batch_size):
+            yield self.y[lo : lo + batch_size], self.X[lo : lo + batch_size]
+
+
+class TestDealtShards:
+    """A stream that cannot split itself is read once and dealt to the workers."""
+
+    @staticmethod
+    def _source(kind, y, X, spec):
+        if kind == "array":
+            return ArrayStream(y, X) if spec is None else project(ArrayStream(y, X), spec)
+        return Rows(y, X) if spec is None else project(Rows(y, X), spec)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(0, 23),
+        shards=st.integers(2, 5),
+        batch_size=st.integers(1, 9),
+        model=st.sampled_from(["logit", "poisson"]),
+        kind=st.sampled_from(["plain", "projected", "array"]),
+        projected=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_statistics_equal_merged_shard_builds(self, n, shards, batch_size, model, kind, projected, seed):
+        rng = np.random.default_rng(seed)
+        mapping, M, R = (mapping_logit(), 2, 4.0) if model == "logit" else (mapping_poisson(), 4, 2.0)
+        if projected:
+            spec = ProjectionSpec(seed=seed, input_dim=40, output_dim=3)
+            X = np.where(rng.random((n, 40)) < 0.1, rng.uniform(-0.05, 0.05, (n, 40)), 0.0)
+        else:
+            spec, X = None, rng.uniform(-0.3, 0.3, (n, 3))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0) if model == "logit" else rng.poisson(1.0, n) * 1.0
+        source = self._source(kind, y, X, spec)
+        sharded = run_sharded(source, shards, mapping, M, R, batch_size=batch_size)
+        parts = [  # each shard's statistics as its worker sends them
+            deserialize(serialize(build_stats(
+                self._source(kind, y, X, spec).shard(i, shards), mapping, M, R, batch_size=batch_size)))
+            for i in range(shards)
+        ]
+        merged = parts[0]
+        for part in parts[1:]:
+            merged = merged.merge(part)
+        assert serialize(sharded) == serialize(merged)
+        assert sharded.n == n
+        if kind != "array":
+            assert (source.base if projected else source).passes == 1
+            assert source.passes == 1
+
+    def test_dealt_libsvm_file_is_parsed_once(self, tmp_path):
+        rng = np.random.default_rng(20)
+        path = tmp_path / "one.svm"
+        y = np.where(rng.random(700) < 0.5, 1.0, -1.0)
+        X = np.where(rng.random((700, 6)) < 0.5, rng.uniform(-0.3, 0.3, (700, 6)), 0.0)
+        write_libsvm(path, y, X)
+        source = parse_libsvm(path, d=6)
+        sharded = run_sharded(source, 3, mapping_logit(), 2, 4.0, batch_size=64)
+        sequential = build_stats(ArrayStream(y, X), mapping_logit(), 2, 4.0, batch_size=64)
+        assert source.passes == 1
+        np.testing.assert_allclose(sharded.values(), sequential.values(), rtol=1e-12)
+
+
+class TestShardFailures:
+    def _arrays(self, n=200, d=3):
+        rng = np.random.default_rng(21)
+        return np.where(rng.random(n) < 0.5, 1.0, -1.0), rng.uniform(-0.3, 0.3, (n, d))
+
+    @pytest.mark.parametrize("stream", [Rows, ArrayStream])
+    def test_worker_numeric_error_names_shard_and_stream_record(self, stream):
+        y, X = self._arrays()
+        X[137, 1] = np.nan  # record 45 of shard 2 of 3
+        with pytest.raises(NumericError) as info:
+            run_sharded(stream(y, X), 3, mapping_logit(), 2, 4.0, batch_size=16)
+        assert info.value.record_index == 137
+        assert str(info.value).startswith("shard 2 of 3 (its record 45 is record 137 of the stream)")
+
+    def test_worker_error_keeps_its_type(self):
+        y, X = self._arrays()
+
+        class Split(ArrayStream):  # splits itself, so the error rises in a worker
+            def shard(self, index, count):
+                part = ArrayStream(self.y[index::count], self.X[index::count])
+                if index == 1:
+                    part._iter_batches = lambda batch_size: iter([()])  # unpackable batch
+                return part
+
+        with pytest.raises(ValueError, match="^shard 1 of 2: not enough values to unpack"):
+            run_sharded(Split(y, X), 2, mapping_logit(), 2, 4.0)
+
+    def test_unpicklable_worker_error_arrives_as_text(self):
+        y, X = self._arrays()
+
+        class Odd(Exception):
+            def __init__(self, a, b):  # pickled with one argument, so it cannot return
+                super().__init__(f"{a}/{b}")
+
+        class Split(ArrayStream):
+            def shard(self, index, count):
+                part = ArrayStream(self.y[index::count], self.X[index::count])
+
+                def fail(batch_size):
+                    raise Odd("left", "right")
+                    yield
+
+                part._iter_batches = fail
+                return part
+
+        with pytest.raises(PassGlmError, match="^shard 0 of 2: Odd: left/right"):
+            run_sharded(Split(y, X), 2, mapping_logit(), 2, 4.0)
+
+    @pytest.mark.parametrize("stream", [Rows, ArrayStream])
+    def test_dead_worker_is_an_error(self, stream, monkeypatch):
+        y, X = self._arrays(n=20_000)
+        monkeypatch.setattr(data, "build_stats", lambda *args, **kwargs: os._exit(3))
+        with pytest.raises(PassGlmError, match="^shard [01] of 2: worker exited with code 3"):
+            run_sharded(stream(y, X), 2, mapping_logit(), 2, 4.0, batch_size=64)
+
+    def test_last_dead_worker_is_an_error_not_a_hang(self):
+        y, X = self._arrays()
+
+        class Split(ArrayStream):
+            def shard(self, index, count):
+                part = ArrayStream(self.y[index::count], self.X[index::count])
+                if index == count - 1:
+                    part._iter_batches = lambda batch_size: os._exit(3)
+                return part
+
+        def hang(signum, frame):
+            pytest.fail("run_sharded waited on a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        try:
+            with pytest.raises(PassGlmError, match="^shard 2 of 3: worker exited with code 3"):
+                run_sharded(Split(y, X), 3, mapping_logit(), 2, 4.0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_reader_error_is_raised_unchanged(self, tmp_path):
+        rng = np.random.default_rng(22)
+        path = tmp_path / "bad.svm"
+        write_libsvm(path, np.where(rng.random(900) < 0.5, 1.0, -1.0), rng.uniform(-0.3, 0.3, (900, 4)))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[611] = "+1 2:0.1 1:0.2\n"  # indices out of order on line 612
+        path.write_text("".join(lines))
+        with pytest.raises(InvalidInputError) as sequential:
+            build_stats(parse_libsvm(path, d=4), mapping_logit(), 2, 4.0)
+        with pytest.raises(InvalidInputError) as sharded:
+            run_sharded(parse_libsvm(path, d=4), 2, mapping_logit(), 2, 4.0, batch_size=50)
+        assert f"{path}:612: malformed record" in str(sharded.value)
+        assert str(sharded.value) == str(sequential.value)
+
+    def test_generic_reader_exception_is_raised_unchanged(self):
+        y, X = self._arrays()
+
+        class Broken(Rows):
+            def _iter_batches(self, batch_size):
+                yield from super()._iter_batches(batch_size)
+                raise KeyError("reader")
+
+        with pytest.raises(KeyError, match="^'reader'$"):
+            run_sharded(Broken(y, X), 2, mapping_logit(), 2, 4.0, batch_size=16)
