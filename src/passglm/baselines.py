@@ -260,7 +260,7 @@ def sgd(
         for i in order:
             eta = eta0 / (1.0 + eta0 * lam * t)
             xi = X[i]
-            (w,) = _loglik_derivs(spec, y[i : i + 1], np.array([xi @ theta]), 1)[1]
+            (w,) = _loglik_derivs(spec, y[i : i + 1], np.array([xi @ theta]), 1, lowest=1)[1]
             theta = theta + eta * (w * xi - prior_prec * (theta - prior_mean) / n)
             t += 1
         norm = float(np.linalg.norm(theta))

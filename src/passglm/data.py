@@ -2,8 +2,9 @@
 
 A :class:`RecordStream` yields ``(y, x)`` observations exactly once per pass
 and counts its passes, which is how the single-pass contract of the
-statistics builder is audited.  Streams also expose dense batches for the
-vectorized accumulation path.
+statistics builder is audited.  Streams also expose batches for the
+vectorized accumulation path, dense arrays or, from a sparse libsvm file,
+CSR matrices.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import math
 import multiprocessing as mp
 import pickle
 import traceback
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidInputError, NumericError, PassGlmError
-from .mappings import MappingSpec, get_mapping
+from .mappings import MappingSpec, _csr_is_smaller, _dense, get_mapping
 from .suffstats import SuffStats, enumerate_indices, deserialize, new_stats, serialize
 
 __all__ = [
@@ -44,7 +46,10 @@ DEFAULT_BATCH = 8192
 class RecordStream:
     """Base class for record sources.
 
-    Subclasses implement ``_iter_batches`` yielding ``(y, X)`` dense chunks.
+    Subclasses implement ``_iter_batches`` yielding ``(y, X)`` chunks, where
+    ``X`` is a dense ``(rows, d)`` array or a ``scipy.sparse`` CSR matrix of
+    that shape.  ``iter_records`` and ``materialize`` densify CSR batches, as
+    the exact-likelihood reductions and ``SuffStats.accumulate_batch`` do.
     ``passes`` increments every time a fresh iteration starts.
     """
 
@@ -61,6 +66,7 @@ class RecordStream:
     def iter_records(self):
         """Yield ``(y, (indices, values))`` one record at a time."""
         for y, X in self.batches():
+            X = _dense(X)
             for i in range(len(y)):
                 row = np.asarray(X[i]).ravel()
                 idx = np.flatnonzero(row)
@@ -70,7 +76,7 @@ class RecordStream:
         ys, xs = [], []
         for y, X in self.batches():
             ys.append(np.asarray(y, dtype=float))
-            xs.append(np.asarray(X, dtype=float))
+            xs.append(np.asarray(_dense(X), dtype=float))
         if not ys:
             return np.empty(0), np.empty((0, self.d))
         return np.concatenate(ys), np.vstack(xs)
@@ -203,7 +209,11 @@ class LibsvmStream(RecordStream):
     window with a malformed line or non-ASCII text is parsed again line by
     line by :meth:`_parse_line`, the one grammar, and the bad line is named
     (strict) or skipped and counted (lenient).  Batches hold at most
-    ``batch_size`` rows and at most ``_BATCH_BYTES`` of dense covariates.
+    ``batch_size`` rows and at most ``_BATCH_BYTES`` of dense covariates.  A
+    batch with fewer nonzeros than half its cells is a CSR matrix, which
+    stores 16 B per nonzero against 8 B per dense cell; any other batch is a
+    dense array.  Either way the rows, and the values ``toarray()`` gives,
+    do not depend on the form.
     """
 
     def __init__(self, path, d: int | None = None, labels: str = "raw", strict: bool = True):
@@ -291,22 +301,34 @@ class LibsvmStream(RecordStream):
 
     def _iter_batches(self, batch_size: int):
         rows = max(1, min(batch_size, _BATCH_BYTES // (8 * max(self.d, 1))))
-        y_out, X, filled = np.empty(rows), np.zeros((rows, self.d)), 0
+        pieces, filled = [], 0
         for y, indptr, idx, vals in self._windows(limit=self.d):
             lo = 0
             while lo < len(y):
                 take = min(rows - filled, len(y) - lo)
                 span = slice(indptr[lo], indptr[lo + take])
-                at = filled + np.repeat(np.arange(take), np.diff(indptr[lo : lo + take + 1]))
-                X[at, idx[span]] = vals[span]
-                y_out[filled : filled + take] = y[lo : lo + take]
+                counts = np.diff(indptr[lo : lo + take + 1])
+                pieces.append((y[lo : lo + take], counts, idx[span], vals[span]))
                 filled += take
                 lo += take
                 if filled == rows:
-                    yield y_out, X
-                    y_out, X, filled = np.empty(rows), np.zeros((rows, self.d)), 0
+                    yield self._batch(pieces)
+                    pieces, filled = [], 0
         if filled:
-            yield y_out[:filled], X[:filled]
+            yield self._batch(pieces)
+
+    def _batch(self, pieces):
+        """One batch from pieces ``(y, row lengths, idx, vals)`` of windows:
+        CSR when that is smaller than the dense array, else dense.  A batch
+        holding a -0.0 stays dense, as ``toarray()`` would give +0.0."""
+        y, counts, idx, vals = (np.concatenate(part) for part in zip(*pieces))
+        if _csr_is_smaller(idx.size, y.size * self.d) and not np.signbit(vals[vals == 0]).any():
+            indptr = np.zeros(y.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            return y, sp.csr_matrix((vals, idx, indptr), shape=(y.size, self.d))
+        X = np.zeros((y.size, self.d))
+        X[np.repeat(np.arange(y.size), counts), idx] = vals
+        return y, X
 
     def iter_records(self):
         self.passes += 1
@@ -606,7 +628,9 @@ def run_sharded(
     timing but not the result.  An error of the reader is raised as it is.
     An error of a worker is raised with its own type and a message naming the
     shard; a :class:`NumericError` of a round-robin shard carries the record's
-    number in the whole stream.  No worker outlives the call.
+    number in the whole stream.  No worker outlives the call.  A warning a
+    worker raises is raised again here, once per distinct message, after the
+    merge.
     """
     if shards < 1:
         raise InvalidInputError("shard count must be >= 1")
@@ -633,17 +657,21 @@ def run_sharded(
         payloads = [
             _payload(_fold_shard(s, *job), i, shards, round_robin) for i, s in enumerate(streams)
         ]
-    merged = None
-    for payload in payloads:
+    merged, caught = None, {}
+    for payload, found in payloads:
         part = deserialize(payload)
         merged = part if merged is None else merged.merge(part)
+        caught.update(dict.fromkeys(found))
+    for text, category in caught:
+        warnings.warn(text, category, stacklevel=2)
     return merged
 
 
-def _fork_shards(source, streams, count: int, job, round_robin: bool) -> list[bytes]:
-    """Serialized statistics of each shard, each folded in a forked process
-    of its own.  With ``streams`` a worker reads its own stream; without,
-    ``source`` is read here and dealt (see :func:`run_sharded`)."""
+def _fork_shards(source, streams, count: int, job, round_robin: bool) -> list[tuple]:
+    """Serialized statistics and warnings of each shard, each folded in a
+    forked process of its own.  With ``streams`` a worker reads its own
+    stream; without, ``source`` is read here and dealt (see
+    :func:`run_sharded`)."""
     ctx = mp.get_context("fork")
     projected = isinstance(source, ProjectedStream)
     reader = source.base if projected else source
@@ -715,10 +743,12 @@ class _DealtStream(RecordStream):
 
 
 def _fold_shard(stream, mapping, M, radius, batch_size):
-    """``("ok", serialized statistics)`` of one shard, or ``("error",
-    exception, traceback text)``."""
+    """``("ok", serialized statistics, warnings)`` of one shard, each warning
+    as ``(text, category)``, or ``("error", exception, traceback text)``."""
     try:
-        return "ok", serialize(build_stats(stream, mapping, M, radius, batch_size=batch_size))
+        with warnings.catch_warnings(record=True) as caught:
+            payload = serialize(build_stats(stream, mapping, M, radius, batch_size=batch_size))
+        return "ok", payload, [(str(w.message), w.category) for w in caught]
     except Exception as exc:  # sent to the parent, which raises it
         return "error", exc, traceback.format_exc()
 
@@ -753,12 +783,13 @@ class _WorkerTraceback(Exception):
     raised again in the parent."""
 
 
-def _payload(reply, index: int, count: int, round_robin: bool) -> bytes:
-    """The serialized statistics of a shard's reply.  An error reply is raised
-    with the shard named in its message and, for a :class:`NumericError` of a
-    round-robin shard, the record numbered in the whole stream."""
+def _payload(reply, index: int, count: int, round_robin: bool) -> tuple:
+    """The serialized statistics and warnings of a shard's reply.  An error
+    reply is raised with the shard named in its message and, for a
+    :class:`NumericError` of a round-robin shard, the record numbered in the
+    whole stream."""
     if reply[0] == "ok":
-        return reply[1]
+        return reply[1:]
     _, exc, trace = reply
     where = f"shard {index} of {count}"
     if round_robin and isinstance(exc, NumericError) and exc.record_index is not None:

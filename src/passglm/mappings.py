@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy import special
 
 from .chebyshev import (
@@ -408,6 +409,20 @@ def fit_terms(spec: MappingSpec, M: int, R: float) -> tuple[PolyApprox, ...]:
     return tuple(fit_chebyshev(t.phi, M, R) for t in spec.terms)
 
 
+# --- batch forms --------------------------------------------------------------
+
+
+def _csr_is_smaller(nnz: int, cells: int) -> bool:
+    """Whether ``nnz`` nonzeros take less memory in CSR, at 16 B each (value
+    and column index), than ``cells`` dense float64 cells at 8 B each."""
+    return 2 * nnz < cells
+
+
+def _dense(X):
+    """A covariate batch as a dense array: a sparse batch densified."""
+    return X.toarray() if sp.issparse(X) else X
+
+
 # --- exact likelihood: the one place terms are evaluated --------------------
 
 
@@ -420,8 +435,11 @@ def _materialize(data) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_batches(data, batch_size=8192):
+    """A record source in batches: a stream's batches densified, or a
+    ``(y, X)`` pair as one batch."""
     if hasattr(data, "batches"):
-        yield from data.batches(batch_size)
+        for y, X in data.batches(batch_size):
+            yield y, _dense(X)
         return
     y, X = data
     yield np.asarray(y, dtype=float), X
@@ -434,23 +452,26 @@ def _term_args(term: Term, y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return arg
 
 
-def _loglik_derivs(spec: MappingSpec, y: np.ndarray, s: np.ndarray, order: int = 0) -> list:
+def _loglik_derivs(
+    spec: MappingSpec, y: np.ndarray, s: np.ndarray, order: int = 0, lowest: int = 0
+) -> list:
     """Per-record log-likelihood and its first ``order`` derivatives in ``s``.
 
     ``s`` is the linear predictor ``X @ theta``.  Entry ``k`` of the result is
     the ``k``-th derivative summed over the terms; entry 0 includes
     ``log_base``.  By the chain rule each derivative of a term brings one
     factor ``y**y_in_arg_power``, on top of the term's ``y**y_power``.
+    Entries below ``lowest`` are not evaluated and stay 0.0.
     """
     out = [0.0] * (order + 1)
     for term in spec.terms:
         arg = _term_args(term, y, s)
-        for k, f in enumerate((term.phi, term.dphi, term.d2phi)[: order + 1]):
-            v = f(arg)
+        for k in range(lowest, order + 1):
+            v = (term.phi, term.dphi, term.d2phi)[k](arg)
             for _ in range(k * term.y_in_arg_power + term.y_power):
                 v = v * y
             out[k] = out[k] + v
-    if spec.log_base is not None:
+    if spec.log_base is not None and lowest == 0:
         out[0] = out[0] + spec.log_base(y)
     return out
 
@@ -491,7 +512,7 @@ def log_likelihood_grad(spec: MappingSpec, theta: np.ndarray, data) -> np.ndarra
     grad = np.zeros_like(theta)
     offset = 0
     for y, X in _as_batches(data):
-        w = _loglik_derivs(spec, y, X @ theta, 1)[1]
+        w = _loglik_derivs(spec, y, X @ theta, 1, lowest=1)[1]
         _check_finite(w, "gradient", offset)
         grad += X.T @ w
         offset += len(w)
@@ -503,7 +524,7 @@ def log_likelihood_hess(spec: MappingSpec, theta: np.ndarray, data) -> np.ndarra
     theta = np.asarray(theta, dtype=float)
     hess = np.zeros((theta.size, theta.size))
     for y, X in _as_batches(data):
-        w = _loglik_derivs(spec, y, X @ theta, 2)[2]
+        w = _loglik_derivs(spec, y, X @ theta, 2, lowest=2)[2]
         hess += X.T @ (w[:, None] * X)
     return hess
 

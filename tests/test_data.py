@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -5,9 +6,11 @@ import multiprocessing as mp
 import os
 import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +29,9 @@ from passglm.data import (
     synthesize_arrays,
     write_libsvm,
 )
+from passglm.baselines import laplace
 from passglm.errors import InvalidInputError, NumericError, PassGlmError
-from passglm.mappings import mapping_logit, mapping_poisson, mapping_shuber
+from passglm.mappings import log_likelihood_hess, mapping_logit, mapping_poisson, mapping_shuber
 from passglm.suffstats import deserialize, serialize
 from passglm.posterior import PriorSpec
 
@@ -160,6 +164,10 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def as_dense(X):
+    return X.toarray() if sp.issparse(X) else X
+
+
 _SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\x0b", "\x0c"])
 _LABELS = st.sampled_from(["+1", "-1", "1", "0", "1e-3", "-2.5", "3", "+0.25", "1_0", "nan"])
 _VALUES = st.one_of(
@@ -228,12 +236,12 @@ class TestWindowParser:
             assert bits(y) == bits(wy)
             np.testing.assert_array_equal(idx, widx)
             np.testing.assert_array_equal(bits(vals), bits(wvals))
-        # the same records as dense batches, across window and batch edges
+        # the same records as batches, across window and batch edges
         ys, X = [], []
         for yb, Xb in stream.batches(batch_size=3):
             assert len(yb) <= 3
             ys.append(yb)
-            X.append(Xb)
+            X.append(as_dense(Xb))
         dense = np.zeros((len(want), 31))
         for i, (_, widx, wvals) in enumerate(want):
             dense[i, widx] = wvals
@@ -269,6 +277,7 @@ class TestWindowParser:
         seen = 0
         # compared batch by batch: a 1,000 x 20,000 materialize is 160 MB
         for yb, Xb in stream.batches(batch_size=8192):
+            Xb = Xb.toarray()
             assert Xb.nbytes <= data._BATCH_BYTES
             for i in range(len(yb)):
                 wy, widx, wvals = want[seen + i]
@@ -834,3 +843,216 @@ class TestShardFailures:
 
         with pytest.raises(KeyError, match="^'reader'$"):
             run_sharded(Broken(y, X), 2, mapping_logit(), 2, 4.0, batch_size=16)
+
+
+def sparse_text(rng, n, d, density, zeros=(0.0, -0.0), labels=("+1", "-1")):
+    """libsvm text of ``n`` records at dimension ``d``; about ``density`` of
+    the cells are written, some of them as explicit ``zeros``."""
+    lines = []
+    for _ in range(n):
+        cols = np.flatnonzero(rng.random(d) < density)
+        vals = np.where(rng.random(cols.size) < 0.1, rng.choice(zeros, cols.size),
+                        rng.uniform(-0.2, 0.2, cols.size))
+        cells = [f"{j + 1}:{v!r}" for j, v in zip(cols.tolist(), vals.tolist())]
+        lines.append(" ".join([rng.choice(labels), *cells]) + "\n")
+    return "".join(lines)
+
+
+class Parts(RecordStream):
+    """libsvm part files read one after another through their public batches."""
+
+    def __init__(self, paths, d, labels="pm1"):
+        self.parts = [parse_libsvm(p, d=d, labels=labels) for p in paths]
+        self.d = d
+        self.passes = 0
+
+    def _iter_batches(self, batch_size):
+        for part in self.parts:
+            yield from part.batches(batch_size)
+
+
+def dense_batches(stream, batch_size):
+    """The batches of a libsvm file as dense arrays, rows filled in file order
+    up to the dense row cap, from the line-at-a-time grammar: the batches of
+    the dense-only reader, each with its count of stored entries and whether
+    it holds a -0.0."""
+    records, _, _ = line_oracle(stream)
+    rows = max(1, min(batch_size, data._BATCH_BYTES // (8 * max(stream.d, 1))))
+    out = []
+    for lo in range(0, len(records), rows):
+        chunk = records[lo : lo + rows]
+        X = np.zeros((len(chunk), stream.d))
+        for i, (_, idx, vals) in enumerate(chunk):
+            X[i, idx] = vals
+        nnz = sum(r[1].size for r in chunk)
+        out.append((np.array([r[0] for r in chunk]), X, nnz, bool(np.signbit(X[X == 0]).any())))
+    return out
+
+
+@contextlib.contextmanager
+def dense_only():
+    """Within it, the reader yields only dense batches."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_csr_is_smaller", lambda nnz, cells: False)
+        yield
+
+
+class TestSparseBatches:
+    """A libsvm batch with fewer nonzeros than half its cells leaves the
+    reader as CSR; every reading of it equals the dense batch's."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), n=st.integers(0, 25), d=st.integers(1, 40),
+           density=st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9, 1.0]),
+           parts=st.integers(1, 3), batch_size=st.integers(1, 9),
+           cap_rows=st.sampled_from([None, 1, 2, 5]), window=st.sampled_from([1, 40, 1 << 18]))
+    def test_batches_equal_dense_batches(self, tmp_path, monkeypatch, seed, n, d, density,
+                                         parts, batch_size, cap_rows, window):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(data, "_WINDOW_CHARS", window)
+        if cap_rows is not None:
+            monkeypatch.setattr(data, "_BATCH_BYTES", 8 * d * cap_rows)
+        paths = []
+        for k in range(parts):
+            paths.append(tmp_path / f"part{k}.svm")
+            paths[-1].write_text(sparse_text(rng, n, d, density))
+        stream = Parts(paths, d)
+        want = [b for part in stream.parts for b in dense_batches(part, batch_size)]
+        got = list(stream.batches(batch_size))
+        assert len(got) == len(want)
+        for (y, X), (wy, wX, nnz, minus_zero) in zip(got, want):
+            assert sp.issparse(X) == (2 * nnz < wX.size and not minus_zero)
+            assert X.shape == wX.shape
+            np.testing.assert_array_equal(bits(y), bits(wy))
+            np.testing.assert_array_equal(bits(as_dense(X)), bits(wX))
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**16), n=st.integers(0, 30), parts=st.integers(1, 3),
+           shards=st.integers(2, 3), batch_size=st.integers(1, 12),
+           density=st.sampled_from([0.02, 0.1, 0.6]), model=st.sampled_from(["logit", "poisson"]))
+    def test_projected_part_files_shard_as_merged_shard_builds(
+            self, tmp_path, seed, n, parts, shards, batch_size, density, model):
+        rng = np.random.default_rng(seed)
+        if model == "logit":
+            mapping, M, R, labels, counts = mapping_logit(), 2, 4.0, "pm1", ("+1", "-1")
+        else:
+            mapping, M, R, labels, counts = mapping_poisson(), 4, 2.0, "raw", ("0", "1", "3")
+        paths = []
+        for k in range(parts):
+            paths.append(tmp_path / f"part{k}.svm")
+            paths[-1].write_text(sparse_text(rng, n, 60, density, labels=counts))
+        spec = ProjectionSpec(seed=seed, input_dim=60, output_dim=4)
+
+        def source():
+            return project(Parts(paths, 60, labels), spec)
+
+        def sharded():
+            return serialize(run_sharded(source(), shards, mapping, M, R, batch_size=batch_size))
+
+        got = sharded()
+        builds = [
+            deserialize(serialize(build_stats(source().shard(i, shards), mapping, M, R,
+                                              batch_size=batch_size)))
+            for i in range(shards)
+        ]
+        merged = builds[0]
+        for part in builds[1:]:
+            merged = merged.merge(part)
+        assert got == serialize(merged)
+        with dense_only():
+            assert sharded() == got
+
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        rng = np.random.default_rng(31)
+        path = tmp_path / "wide.svm"
+        path.write_text(sparse_text(rng, 240, 60, 0.05, zeros=(0.0,)))
+        return path
+
+    def test_readings_equal_the_dense_readings(self, wide_file):
+        stream = parse_libsvm(wide_file, d=60, labels="pm1")
+        assert all(sp.issparse(X) for _, X in stream.batches(100))
+        theta = np.random.default_rng(32).uniform(-1.0, 1.0, 60)
+
+        def readings():
+            y, X = stream.materialize()
+            shards = [list(stream.shard(i, 3).iter_records()) for i in range(3)]
+            hess = log_likelihood_hess(mapping_logit(), theta, stream)
+            post = laplace(mapping_logit(), PriorSpec.parse("gaussian:4"), stream)
+            return y, X, shards, hess, post.mean, post.chol
+
+        got = readings()
+        with dense_only():
+            want = readings()
+        for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
+            np.testing.assert_array_equal(bits(a), bits(b))
+        for shard, want_shard in zip(got[2], want[2]):
+            assert len(shard) == len(want_shard)
+            for (y, (idx, vals)), (wy, (widx, wvals)) in zip(shard, want_shard):
+                assert bits(y) == bits(wy)
+                np.testing.assert_array_equal(idx, widx)
+                np.testing.assert_array_equal(bits(vals), bits(wvals))
+
+    def test_command_line_outputs_equal_the_dense_outputs(self, wide_file, tmp_path):
+        from passglm.cli import main
+
+        def outputs(out):
+            out.mkdir()
+            commands = [
+                ["project", "--input", wide_file, "--output", out / "proj.svm", "--dim", 5,
+                 "--seed", 7, "--input-dim", 60],
+                ["stats", "build", "--input", wide_file, "--model", "logit", "--degree", 2,
+                 "--radius", 4, "--dim", 60, "--out", out / "stats.pglm"],
+                ["fit", "--stats", out / "stats.pglm", "--prior", "gaussian:4",
+                 "--out", out / "post.json"],
+                ["baseline", "--method", "laplace", "--input", wide_file, "--model", "logit",
+                 "--prior", "gaussian:4", "--dim", 60, "--out", out / "laplace.json"],
+                ["eval", "--posterior", out / "post.json", "--reference", out / "laplace.json",
+                 "--test", wide_file, "--model", "logit", "--out", out / "report.json"],
+            ]
+            for argv in commands:
+                assert main([str(a) for a in argv]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        got = outputs(tmp_path / "sparse")
+        with dense_only():
+            want = outputs(tmp_path / "dense")
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["dealt", "own shards"])
+    def test_worker_warnings_reach_the_caller(self, kind):
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((100, 3))
+        X *= 1.56 / np.linalg.norm(X, axis=1, keepdims=True)
+        y = np.where(rng.random(100) < 0.5, 1.0, -1.0)
+        source = Rows(y, X) if kind == "dealt" else ArrayStream(y, X)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_sharded(source, 2, mapping_logit(), 2, 4.0)
+        norm = [w for w in caught if "2-norm exceeds 1" in str(w.message)]
+        assert len(norm) == 1  # raised in both workers, once here
+        assert norm[0].filename == __file__
+
+    def test_dealt_projected_build_reads_in_a_few_mb(self, tmp_path):
+        rng = np.random.default_rng(34)
+        D = 20_000
+        path = tmp_path / "wide.svm"
+        with open(path, "w") as fh:
+            for _ in range(500):
+                cols = np.sort(rng.choice(D, 20, replace=False))
+                vals = rng.uniform(-0.2, 0.2, 20)
+                cells = [f"{j + 1}:{v!r}" for j, v in zip(cols.tolist(), vals.tolist())]
+                fh.write(" ".join(["+1", *cells]) + "\n")
+        source = project(parse_libsvm(path, d=D, labels="pm1"),
+                         ProjectionSpec(seed=1, input_dim=D, output_dim=50))
+        tracemalloc.start()
+        try:
+            stats = run_sharded(source, 2, mapping_logit(), 2, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.n == 500
+        # one dense batch of these records would be 419 x 20,000 x 8 B = 67 MB
+        assert peak < 8 * 2**20

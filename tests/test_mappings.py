@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from passglm.errors import InvalidInputError, NumericError
 from passglm.mappings import (
     MAPPING_FACTORIES,
     Term,
+    _loglik_derivs,
     _mills,
     degree_weights,
     fit_terms,
@@ -241,6 +243,30 @@ class TestGradients:
                 - log_likelihood_grad(spec, theta - e, (y, X))
             ) / (2 * h)
             np.testing.assert_allclose(hess[:, j], fd, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("spec_factory,label_kind", MODEL_CASES)
+    @pytest.mark.parametrize("lowest", [1, 2])
+    def test_derivatives_from_lowest_equal_the_full_evaluation(self, spec_factory, label_kind, lowest):
+        rng = np.random.default_rng(9)
+        spec = spec_factory()
+        y, X, theta = model_instance(rng, label_kind, 3, 25)
+        full = _loglik_derivs(spec, y, X @ theta, 2)
+        calls = []  # phi and log_base, which only order 0 needs
+
+        def spy(f):
+            return lambda v: calls.append(f) or f(v)
+
+        terms = tuple(dataclasses.replace(t, phi=spy(t.phi)) for t in spec.terms)
+        log_base = None if spec.log_base is None else spy(spec.log_base)
+        spec = dataclasses.replace(spec, terms=terms, log_base=log_base)
+        calls.clear()  # the terms' own checks evaluate phi
+        part = _loglik_derivs(spec, y, X @ theta, 2, lowest=lowest)
+        assert calls == []
+        for k in range(3):
+            if k < lowest:
+                assert part[k] == 0.0
+            else:
+                np.testing.assert_array_equal(part[k], full[k])
 
 
 class TestCurvatureConstants:
