@@ -301,34 +301,18 @@ class LibsvmStream(RecordStream):
 
     def _iter_batches(self, batch_size: int):
         rows = max(1, min(batch_size, _BATCH_BYTES // (8 * max(self.d, 1))))
-        pieces, filled = [], 0
+        batch = _LibsvmBatch(rows, self.d)
         for y, indptr, idx, vals in self._windows(limit=self.d):
             lo = 0
             while lo < len(y):
-                take = min(rows - filled, len(y) - lo)
-                span = slice(indptr[lo], indptr[lo + take])
-                counts = np.diff(indptr[lo : lo + take + 1])
-                pieces.append((y[lo : lo + take], counts, idx[span], vals[span]))
-                filled += take
+                take = min(rows - batch.filled, len(y) - lo)
+                batch.add(y[lo : lo + take], indptr[lo : lo + take + 1], idx, vals)
                 lo += take
-                if filled == rows:
-                    yield self._batch(pieces)
-                    pieces, filled = [], 0
-        if filled:
-            yield self._batch(pieces)
-
-    def _batch(self, pieces):
-        """One batch from pieces ``(y, row lengths, idx, vals)`` of windows:
-        CSR when that is smaller than the dense array, else dense.  A batch
-        holding a -0.0 stays dense, as ``toarray()`` would give +0.0."""
-        y, counts, idx, vals = (np.concatenate(part) for part in zip(*pieces))
-        if _csr_is_smaller(idx.size, y.size * self.d) and not np.signbit(vals[vals == 0]).any():
-            indptr = np.zeros(y.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            return y, sp.csr_matrix((vals, idx, indptr), shape=(y.size, self.d))
-        X = np.zeros((y.size, self.d))
-        X[np.repeat(np.arange(y.size), counts), idx] = vals
-        return y, X
+                if batch.filled == rows:
+                    yield batch.finish()
+                    batch = _LibsvmBatch(rows, self.d)
+        if batch.filled:
+            yield batch.finish()
 
     def iter_records(self):
         self.passes += 1
@@ -336,6 +320,62 @@ class LibsvmStream(RecordStream):
             for i in range(len(y)):
                 lo, hi = indptr[i], indptr[i + 1]
                 yield float(y[i]), (idx[lo:hi], vals[lo:hi])
+
+
+class _LibsvmBatch:
+    """A batch of at most ``rows`` records being filled from parse windows.
+
+    While the batch may still end as CSR its rows are kept as the windows'
+    pieces ``(first row, row lengths, idx, vals)``.  Once its stored entries
+    reach half the cells of a full batch no batch of these rows can be CSR
+    (:func:`_csr_is_smaller`), so the pieces are scattered into a dense array
+    and dropped, and later rows are filled in place; a dense file so holds
+    at most about one dense batch of pieces besides the batch itself."""
+
+    def __init__(self, rows: int, d: int):
+        self.rows, self.d = rows, d
+        self.ys, self.pieces, self.X = [], [], None
+        self.filled = self.nnz = 0
+
+    def add(self, y, indptr, idx, vals) -> None:
+        """Add the records ``y`` whose entries ``indptr`` bounds in ``idx``, ``vals``."""
+        span = slice(indptr[0], indptr[-1])
+        piece = self.filled, np.diff(indptr), idx[span], vals[span]
+        self.ys.append(y)
+        self.filled += y.size
+        self.nnz += span.stop - span.start
+        if self.X is None and not _csr_is_smaller(self.nnz, self.rows * self.d):
+            self.X = np.zeros((self.rows, self.d))
+            while self.pieces:
+                self._scatter(self.X, *self.pieces.pop())
+        if self.X is None:
+            self.pieces.append(piece)
+        else:
+            self._scatter(self.X, *piece)
+
+    @staticmethod
+    def _scatter(X, first, counts, idx, vals) -> None:
+        X[first + np.repeat(np.arange(counts.size), counts), idx] = vals
+
+    def finish(self):
+        """The batch ``(y, X)``: CSR when that is smaller than the dense
+        array, else dense.  A batch holding a -0.0 stays dense, as
+        ``toarray()`` would give +0.0."""
+        y = np.concatenate(self.ys)
+        if self.X is not None:
+            return y, self.X[: self.filled]
+        if _csr_is_smaller(self.nnz, self.filled * self.d) and not any(
+            np.signbit(vals[vals == 0]).any() for *_, vals in self.pieces
+        ):
+            _, *parts = zip(*self.pieces)
+            counts, idx, vals = map(np.concatenate, parts)
+            indptr = np.zeros(y.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            return y, sp.csr_matrix((vals, idx, indptr), shape=(y.size, self.d))
+        X = np.zeros((y.size, self.d))
+        for piece in self.pieces:
+            self._scatter(X, *piece)
+        return y, X
 
 
 def _check_limit(top: int, limit: int) -> None:

@@ -52,15 +52,7 @@ from .errors import (
     NumericError,
     StatsFormatError,
 )
-from .mappings import (
-    MAPPING_FACTORIES,
-    MappingSpec,
-    _csr_is_smaller,
-    _dense,
-    degree_weights,
-    fit_terms,
-    get_mapping,
-)
+from .mappings import MAPPING_FACTORIES, MappingSpec, _dense, degree_weights, fit_terms, get_mapping
 
 __all__ = [
     "DEFAULT_INDEX_CAP",
@@ -347,9 +339,8 @@ class SuffStats:
     def accumulate(self, y: float, x) -> "SuffStats":
         """Absorb one record.  ``x`` is a dense 1-D array or an
         ``(indices, values)`` pair of sparse coordinates.  A sparse record
-        with fewer coordinates than half of ``d`` updates only the statistics
-        of its own coordinates: the kernel runs on them alone and its entries
-        are added at their global positions.  A fuller one is densified."""
+        updates only the statistics of its own coordinates: the kernel runs
+        on them alone and its entries are added at their global positions."""
         iset = self.index_set
         if not (isinstance(x, tuple) and len(x) == 2):
             dense = np.asarray(x, dtype=float)
@@ -361,10 +352,6 @@ class SuffStats:
         idx = np.asarray(x[0], dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= iset.d):
             raise InvalidInputError(f"covariate index out of range for dimension {iset.d}")
-        if not _csr_is_smaller(idx.size, iset.d):
-            dense = np.zeros((1, iset.d))
-            dense[0, idx] = x[1]  # a repeated index keeps the value assigned last
-            return self.accumulate_batch(np.asarray([y], dtype=float), dense)
         cols, inv = np.unique(idx, return_inverse=True)
         if not cols.size:  # an empty record still adds to the constant's entry
             cols = np.zeros(1, dtype=np.int64)

@@ -31,7 +31,7 @@ from passglm.data import (
 )
 from passglm.baselines import laplace
 from passglm.errors import InvalidInputError, NumericError, PassGlmError
-from passglm.mappings import log_likelihood_hess, mapping_logit, mapping_poisson, mapping_shuber
+from passglm.mappings import _dense, log_likelihood_hess, mapping_logit, mapping_poisson, mapping_shuber
 from passglm.suffstats import deserialize, serialize
 from passglm.posterior import PriorSpec
 
@@ -164,10 +164,6 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def as_dense(X):
-    return X.toarray() if sp.issparse(X) else X
-
-
 _SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\x0b", "\x0c"])
 _LABELS = st.sampled_from(["+1", "-1", "1", "0", "1e-3", "-2.5", "3", "+0.25", "1_0", "nan"])
 _VALUES = st.one_of(
@@ -241,7 +237,7 @@ class TestWindowParser:
         for yb, Xb in stream.batches(batch_size=3):
             assert len(yb) <= 3
             ys.append(yb)
-            X.append(as_dense(Xb))
+            X.append(_dense(Xb))
         dense = np.zeros((len(want), 31))
         for i, (_, widx, wvals) in enumerate(want):
             dense[i, widx] = wvals
@@ -925,7 +921,7 @@ class TestSparseBatches:
             assert sp.issparse(X) == (2 * nnz < wX.size and not minus_zero)
             assert X.shape == wX.shape
             np.testing.assert_array_equal(bits(y), bits(wy))
-            np.testing.assert_array_equal(bits(as_dense(X)), bits(wX))
+            np.testing.assert_array_equal(bits(_dense(X)), bits(wX))
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
@@ -1056,3 +1052,31 @@ class TestSparseBatches:
         assert stats.n == 500
         # one dense batch of these records would be 419 x 20,000 x 8 B = 67 MB
         assert peak < 8 * 2**20
+
+    def test_dense_file_reads_in_about_two_dense_batches(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(35)
+        n, d = 300, 1000
+        path = tmp_path / "dense.svm"
+        with open(path, "w") as fh:
+            for _ in range(n):
+                cells = [f"{j}:0.{k}" for j, k in enumerate(rng.integers(1, 10, d).tolist(), 1)]
+                fh.write(" ".join(["+1", *cells]) + "\n")
+        # one line a window, as for a wide dense file; a dense batch of 131 rows
+        monkeypatch.setattr(data, "_WINDOW_CHARS", 1)
+        monkeypatch.setattr(data, "_BATCH_BYTES", 1 << 20)
+        stream = parse_libsvm(path, d=d)
+        seen = 0
+        tracemalloc.start()
+        try:
+            for y, X in stream.batches():
+                assert not sp.issparse(X)
+                seen += len(y)
+                del y, X  # the reader alone is measured
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen == n
+        # the batch being filled and the pieces of its rows kept until it can
+        # no longer be CSR: about 2.1 MB, against 6.2 MB when every piece was
+        # kept and concatenated before the batch took its form
+        assert peak < 2.5 * data._BATCH_BYTES

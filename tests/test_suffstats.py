@@ -381,24 +381,6 @@ class TestSparseRecords:
         np.testing.assert_allclose(sparse.values(), dense.values(), rtol=1e-12, atol=1e-15)
         assert sparse.n == dense.n == 4
 
-    @pytest.mark.parametrize("nnz,dense_route", [(9, False), (10, True), (20, True)])
-    def test_a_record_filling_half_of_d_takes_the_dense_route(self, monkeypatch, nnz, dense_route):
-        d = 20
-        rng = np.random.default_rng(nnz)
-        idx = np.sort(rng.choice(d, nnz, replace=False))
-        vals = rng.uniform(-0.2, 0.2, nnz)
-        x = np.zeros(d)
-        x[idx] = vals
-        iset = enumerate_indices(d, 2)
-        want = new_stats(iset, mapping_logit(), 4.0).accumulate(1.0, x)
-        batches = []
-        monkeypatch.setattr(SuffStats, "accumulate_batch",
-                            lambda self, y, X: batches.append(X) or want)
-        new_stats(iset, mapping_logit(), 4.0).accumulate(1.0, (idx, vals))
-        assert len(batches) == dense_route
-        if dense_route:
-            np.testing.assert_array_equal(batches[0], x[None, :])
-
 
 class TestSurrogateIdentity:
     """Central correctness property: the statistics reassemble the surrogate
