@@ -88,34 +88,33 @@ def laplace(spec: MappingSpec, prior: PriorSpec, data, tol: float = 1e-8) -> Gau
     return GaussianPosterior(mean=theta, chol=cov_chol, logdet=logdet)
 
 
+# MALA starts at step size _STEP_SIZE and adapts it toward the acceptance rate
+# _TARGET_ACCEPT (Roberts & Rosenthal) during the first _BURN_IN_FRAC of a chain.
+_STEP_SIZE = 0.1
+_TARGET_ACCEPT = 0.574
+_BURN_IN_FRAC = 0.5
+
+
 @dataclass
 class MalaConfig:
     """Adaptive MALA settings.
 
-    The step size adapts toward ``target_accept`` during burn-in and is
+    The step size adapts toward ``_TARGET_ACCEPT`` during burn-in and is
     frozen afterwards; a diagonal preconditioner is estimated from the
     burn-in draws.
     """
 
     iterations: int = 20_000
     chains: int = 3
-    step_size: float = 0.1
-    target_accept: float = 0.574
-    burn_in_frac: float = 0.5
     seed: int = 0
-    precondition: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.target_accept < 1.0):
-            raise InvalidInputError("target acceptance must be in (0, 1)")
         if self.iterations < 10:
             raise InvalidInputError("iteration count is too small")
-        if not (0.0 < self.burn_in_frac < 1.0):
-            raise InvalidInputError("burn-in fraction must be in (0, 1)")
 
     @property
     def burn_in(self) -> int:
-        return int(self.iterations * self.burn_in_frac)
+        return int(self.iterations * _BURN_IN_FRAC)
 
 
 @dataclass
@@ -161,7 +160,7 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
         lp, g = log_post_and_grad(theta)
         if not np.isfinite(lp):
             raise NumericError("log-posterior is not finite at the chain start")
-        log_h = np.log(config.step_size)
+        log_h = np.log(_STEP_SIZE)
         D = np.ones(d)
         run_mean = np.zeros(d)
         run_m2 = np.zeros(d)
@@ -183,12 +182,12 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
                 if it >= config.burn_in:
                     accepted_post += 1
             if it < config.burn_in:
-                log_h += (it + 1) ** -0.6 * (accept_prob - config.target_accept)
+                log_h += (it + 1) ** -0.6 * (accept_prob - _TARGET_ACCEPT)
                 seen += 1
                 delta = theta - run_mean
                 run_mean += delta / seen
                 run_m2 += delta * (theta - run_mean)
-                if config.precondition and seen > 100 and (it + 1) % 200 == 0:
+                if seen > 100 and (it + 1) % 200 == 0:
                     D = np.maximum(run_m2 / (seen - 1), 1e-10)
             else:
                 draws[c, it - config.burn_in] = theta
@@ -223,6 +222,10 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
     return out
 
 
+# SGD reports divergence once an epoch ends with an iterate norm above this.
+_DIVERGENCE_NORM = 1e6
+
+
 def sgd(
     spec: MappingSpec,
     data,
@@ -230,7 +233,6 @@ def sgd(
     eta0: float = 1.0,
     prior: PriorSpec | None = None,
     seed: int = 0,
-    divergence_norm: float = 1e6,
 ) -> np.ndarray:
     """Single-sample stochastic gradient ascent on the log-posterior.
 
@@ -264,9 +266,9 @@ def sgd(
             theta = theta + eta * (w * xi - prior_prec * (theta - prior_mean) / n)
             t += 1
         norm = float(np.linalg.norm(theta))
-        if norm > divergence_norm:
+        if norm > _DIVERGENCE_NORM:
             raise DivergenceError(
-                f"SGD iterate norm {norm:.3g} exceeded {divergence_norm:.3g}; "
+                f"SGD iterate norm {norm:.3g} exceeded {_DIVERGENCE_NORM:.3g}; "
                 "try a smaller eta0"
             )
     return theta

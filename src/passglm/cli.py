@@ -27,6 +27,7 @@ import numpy as np
 from . import chebyshev
 from .baselines import MalaConfig, laplace, mala, sgd
 from .data import (
+    LibsvmStream,
     ProjectionSpec,
     build_stats,
     parse_libsvm,
@@ -35,7 +36,7 @@ from .data import (
     write_libsvm,
 )
 from .errors import PassGlmError
-from .mappings import MAPPING_FACTORIES, fit_terms, get_mapping
+from .mappings import MAPPING_FACTORIES, get_mapping
 from .metrics import compare_posteriors, inner_product_histogram, roc_auc, test_nll
 from .posterior import GaussianPosterior, PriorSpec, posterior_general, posterior_lr2
 from .suffstats import load_stats, merge, save_stats
@@ -93,9 +94,8 @@ def _gaussian_from_json(doc: dict) -> GaussianPosterior:
     )
 
 
-def _open_input(args, mapping) -> "ArrayStream":
-    labels = mapping.label_mode or "raw"
-    return parse_libsvm(args.input, d=args.dim, labels=labels)
+def _open_input(args, mapping) -> LibsvmStream:
+    return parse_libsvm(args.input, d=args.dim, labels=mapping.label_mode or "raw")
 
 
 def cmd_approx(args) -> int:
@@ -147,13 +147,9 @@ def cmd_fit(args) -> int:
     for path in args.stats[1:]:
         stats = merge(stats, load_stats(path))
     prior = PriorSpec.parse(args.prior)
-    mapping = stats.mapping
-    if mapping.raw_monomial:
-        (approx,) = fit_terms(mapping, stats.index_set.M, stats.radius)
-        if stats.index_set.M == 2 and prior.kind == "gaussian" and args.domain_radius is None:
-            post = posterior_lr2(stats, approx, prior)
-        else:
-            post = posterior_general(stats, approx, prior, domain_radius=args.domain_radius)
+    closed_form = stats.mapping.raw_monomial and stats.index_set.M == 2
+    if closed_form and prior.kind == "gaussian" and args.domain_radius is None:
+        post = posterior_lr2(stats, None, prior)
     else:
         post = posterior_general(stats, None, prior, domain_radius=args.domain_radius)
     _write_json(_posterior_to_json(post), args.out)

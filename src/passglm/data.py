@@ -316,7 +316,7 @@ class LibsvmStream(RecordStream):
 
     def iter_records(self):
         self.passes += 1
-        for y, indptr, idx, vals in self._windows():
+        for y, indptr, idx, vals in self._windows(limit=self.d):
             for i in range(len(y)):
                 lo, hi = indptr[i], indptr[i + 1]
                 yield float(y[i]), (idx[lo:hi], vals[lo:hi])

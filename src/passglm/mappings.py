@@ -427,22 +427,17 @@ def _dense(X):
 
 
 def _materialize(data) -> tuple[np.ndarray, np.ndarray]:
-    """All of a record source as ``(y, X)``: a stream or a ``(y, X)`` pair."""
+    """All of a record source as dense ``(y, X)``: a stream or a ``(y, X)`` pair."""
     if hasattr(data, "materialize"):
         return data.materialize()
     y, X = data
-    return np.asarray(y, dtype=float), X
+    return np.asarray(y, dtype=float), _dense(X)
 
 
 def _as_batches(data, batch_size=8192):
-    """A record source in batches: a stream's batches densified, or a
-    ``(y, X)`` pair as one batch."""
-    if hasattr(data, "batches"):
-        for y, X in data.batches(batch_size):
-            yield y, _dense(X)
-        return
-    y, X = data
-    yield np.asarray(y, dtype=float), X
+    """A record source in dense batches: a stream's, or a ``(y, X)`` pair as one."""
+    for y, X in data.batches(batch_size) if hasattr(data, "batches") else [data]:
+        yield np.asarray(y, dtype=float), _dense(X)
 
 
 def _term_args(term: Term, y: np.ndarray, s: np.ndarray) -> np.ndarray:

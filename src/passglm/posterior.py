@@ -5,6 +5,11 @@ exact Gaussian with closed-form mean and covariance.  For every other
 supported case the surrogate log-posterior is a polynomial in the parameter;
 its mode is found by Newton iteration and a Gaussian is fitted at the mode.
 
+Every fit resolves its ``approx`` argument with ``_approxes``: ``None`` means
+the statistics' own terms (``SuffStats.approxes``); raw (logistic) statistics,
+which do not depend on the radius, take any approximation of their degree in
+place of theirs; folded statistics accept only one of their own.
+
 Covariances are represented by lower-triangular Cholesky factors obtained
 from the precision matrix without explicitly inverting it.
 """
@@ -170,21 +175,34 @@ def _check_logistic_leading_coefficient(b: np.ndarray) -> None:
         )
 
 
-def posterior_lr2(stats: SuffStats, approx: PolyApprox, prior: PriorSpec) -> GaussianPosterior:
+def _approxes(stats: SuffStats, approx: PolyApprox | None) -> tuple[PolyApprox, ...]:
+    """The fitted terms a fit of ``stats`` with ``approx`` uses (module docstring)."""
+    if approx is None:
+        return stats.approxes
+    if stats.mapping.raw_monomial:
+        if approx.M != stats.index_set.M:
+            raise InvalidInputError("approximation degree must match the statistics")
+        return (approx,)
+    if not any(approx.R == a.R and np.array_equal(approx.b, a.b) for a in stats.approxes):
+        raise InvalidInputError("folded statistics carry their own fitted terms (stats.approxes)")
+    return stats.approxes
+
+
+def posterior_lr2(stats: SuffStats, approx: PolyApprox | None, prior: PriorSpec) -> GaussianPosterior:
     """Closed-form Gaussian posterior for the degree-2 logistic surrogate.
 
     The precision is ``prior_precision - 2 b2 T2`` and the mean solves
     ``precision @ mean = b1 t1 + prior_precision @ prior_mean``, where ``t1``
     and ``T2`` are the degree-1 vector and degree-2 matrix of raw monomial
-    statistics.
+    statistics and ``b`` the coefficients of the resolved ``approx``.
     """
     if not stats.mapping.raw_monomial:
         raise InvalidInputError("closed-form path requires raw logistic statistics")
-    if stats.index_set.M != 2 or approx.M != 2:
+    if stats.index_set.M != 2:
         raise InvalidInputError("closed-form path requires degree M = 2")
     if prior.kind != "gaussian":
         raise InvalidInputError("closed-form path requires a Gaussian prior")
-    b = approx.b
+    b = _approxes(stats, approx)[0].b
     if b[2] >= 0:
         raise PathologicalApproximationError(
             f"quadratic coefficient b2={b[2]:.3g} >= 0 would make the surrogate "
@@ -279,19 +297,16 @@ class PolySurface:
 def surrogate_loglik_coefficients(stats: SuffStats, approx: PolyApprox | None = None) -> np.ndarray:
     """Monomial coefficients of the surrogate log-likelihood over the index set.
 
-    Raw logistic statistics get the multinomial-weighted polynomial
-    coefficients applied here; general-form statistics already carry them.
+    Raw logistic statistics get the multinomial-weighted coefficients of the
+    resolved ``approx`` applied here; general-form statistics already carry them.
     """
+    b = _approxes(stats, approx)[0].b
     vals = stats.values()
     if not stats.mapping.raw_monomial:
-        return vals.copy()
-    if approx is None:
-        raise InvalidInputError("raw logistic statistics need the fitted approximation")
-    if approx.M != stats.index_set.M:
-        raise InvalidInputError("approximation degree must match the statistics")
-    _check_logistic_leading_coefficient(approx.b)
+        return vals
+    _check_logistic_leading_coefficient(b)
     iset = stats.index_set
-    return iset.multinom * approx.b[iset.degrees] * vals
+    return iset.multinom * b[iset.degrees] * vals
 
 
 def _surrogate_posterior_surface(
@@ -316,13 +331,16 @@ def _surrogate_posterior_surface(
     return PolySurface(iset, coef)
 
 
+# Newton stops at stationarity <= _GRAD_TOL * max(1, |value|), or fails after _MAX_ITER steps.
+_GRAD_TOL = 1e-8
+_MAX_ITER = 500
+
+
 def posterior_general(
     stats: SuffStats,
     approx: PolyApprox | None,
     prior: PriorSpec,
     domain_radius: float | None = None,
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> SurrogatePosterior:
     """Surrogate-MAP plus Laplace-on-surrogate posterior for general degree.
 
@@ -332,8 +350,7 @@ def posterior_general(
     """
     surface = _surrogate_posterior_surface(stats, approx, prior)
     if stats.mapping.name == "poisson":
-        nonlinear = approx if approx is not None else stats.approxes[1]
-        _check_poisson_convexity(nonlinear)
+        _check_poisson_convexity(_approxes(stats, approx)[1])
     d = stats.index_set.d
     theta = prior.mean_vector(d)
     if domain_radius is not None:
@@ -346,12 +363,12 @@ def posterior_general(
     trace = []
     c_armijo = 1e-4
     converged = False
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         g = surface.gradient(theta)
         f0 = surface.value(theta)
         crit = _stationarity(theta, g, domain_radius)
         trace.append((it, f0, float(np.linalg.norm(g))))
-        if crit <= grad_tol * max(1.0, abs(f0)):
+        if crit <= _GRAD_TOL * max(1.0, abs(f0)):
             converged = True
             break
         H = surface.hessian(theta)
@@ -371,7 +388,7 @@ def posterior_general(
         theta = candidate
     if not converged:
         raise ConvergenceError(
-            f"surrogate MAP did not reach tolerance in {max_iter} iterations",
+            f"surrogate MAP did not reach tolerance in {_MAX_ITER} iterations",
             trace=trace,
         )
 
@@ -456,13 +473,16 @@ class MapCertificate:
         return self.measured_sq <= self.bound
 
 
+# Share of term arguments inside [-R, R] at which the range premise counts as held.
+_IN_RANGE_THRESHOLD = 0.98
+
+
 def map_error_certificate(
     exact_map: np.ndarray,
-    approx: PolyApprox,
+    approx: PolyApprox | None,
     stats: SuffStats,
     prior: PriorSpec,
     data,
-    in_range_threshold: float = 0.98,
 ) -> MapCertificate:
     """Evaluate the MAP error bound ``4 eps_n / rho_n`` numerically.
 
@@ -482,9 +502,8 @@ def map_error_certificate(
 
     eps_n = 0.0
     worst_fraction = 1.0
-    approxes = stats.approxes if stats.approxes is not None else (approx,) * len(mapping.terms)
     n = len(y)
-    for term, term_approx in zip(mapping.terms, approxes):
+    for term, term_approx in zip(mapping.terms, _approxes(stats, approx)):
         arg = _term_args(term, y, s)
         worst_fraction = min(
             worst_fraction, float(np.mean(np.abs(arg) <= stats.radius))
@@ -509,7 +528,7 @@ def map_error_certificate(
     measured = float(np.sum((exact_map - surrogate_map) ** 2))
     bound = math.inf if rho_n <= 0 else 4.0 * eps_n / rho_n
     premises = {
-        "inner_products_in_range": worst_fraction >= in_range_threshold,
+        "inner_products_in_range": worst_fraction >= _IN_RANGE_THRESHOLD,
         "posterior_strongly_log_concave_at_map": rho_n > 0,
         "prior_log_concave": prior.kind in ("gaussian", "flat"),
     }

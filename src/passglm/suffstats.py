@@ -18,6 +18,10 @@ Two accumulation forms exist:
   where the per-record coefficient folds in the fitted polynomial because it
   depends on ``y_n``.
 
+Either way the statistics fit their own terms, ``SuffStats.approxes``, from
+the mapping, ``M`` and the radius.  A fit of raw sums, which do not depend on
+the radius, may use another approximation of their degree; folded sums only their own.
+
 Both forms run through one kernel, ``_delta``.  A degree-``m`` index splits
 into a head (its first ``m // 2`` variables) and a tail (the other
 ``m - m // 2``), so its entry is the sum over records of a head monomial
@@ -37,8 +41,11 @@ and merge agree with a sequential pass to near machine precision.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
 import struct
+import sys
 import warnings
 from functools import cached_property, lru_cache
 
@@ -211,6 +218,15 @@ def enumerate_indices(d: int, M: int, cap: int = DEFAULT_INDEX_CAP) -> MultiInde
 _local_indices = lru_cache(maxsize=16)(enumerate_indices)
 
 
+def _caller_level() -> int:
+    """The ``stacklevel``, for a warning its caller raises, of the first frame outside the package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _kahan_add(t: np.ndarray, comp: np.ndarray, delta, at=slice(None)) -> None:
     y = delta - comp[at]
     s = t[at] + y
@@ -260,31 +276,22 @@ class SuffStats:
     ``merge`` combines two compatible accumulators into a new one.
     """
 
-    def __init__(
-        self,
-        index_set: MultiIndexSet,
-        mapping: MappingSpec,
-        radius: float,
-        approxes: tuple[PolyApprox, ...] | None = None,
-    ):
+    def __init__(self, index_set: MultiIndexSet, mapping: MappingSpec, radius: float):
         if not (radius > 0):
             raise InvalidInputError(f"approximation radius must be positive, got {radius}")
-        if not mapping.raw_monomial and approxes is None:
-            approxes = fit_terms(mapping, index_set.M, radius)
-        if approxes is not None:
-            for a in approxes:
-                if a.M != index_set.M or a.R != radius:
-                    raise ConfigMismatchError(
-                        "approximation degree/radius must match the statistics"
-                    )
         self.index_set = index_set
         self.mapping = mapping
         self.radius = float(radius)
-        self.approxes = approxes
         self.t = np.zeros(len(index_set))
         self.comp = np.zeros(len(index_set))
         self.n = 0
         self._norm_warned = False
+
+    @cached_property
+    def approxes(self) -> tuple[PolyApprox, ...]:
+        """The degree-``M`` Chebyshev fit of each term on ``[-radius, radius]``,
+        fitted when first read; folded statistics hold them in every entry."""
+        return fit_terms(self.mapping, self.index_set.M, self.radius)
 
     # -- configuration ------------------------------------------------------
 
@@ -299,30 +306,18 @@ class SuffStats:
         )
 
     def same_config(self, other: "SuffStats") -> bool:
-        if self.config_key() != other.config_key():
-            return False
-        if (self.approxes is None) != (other.approxes is None):
-            return False
-        if self.approxes is not None:
-            for a, b in zip(self.approxes, other.approxes):
-                if not np.array_equal(a.b, b.b):
-                    return False
-        return True
+        return self.config_key() == other.config_key() and all(
+            np.array_equal(a.b, b.b) for a, b in zip(self.approxes, other.approxes)
+        )
 
     def values(self) -> np.ndarray:
         """Accumulated statistics with the compensation terms folded in."""
         return self.t + self.comp
 
     def copy(self) -> "SuffStats":
-        out = SuffStats.__new__(SuffStats)
-        out.index_set = self.index_set
-        out.mapping = self.mapping
-        out.radius = self.radius
-        out.approxes = self.approxes
+        out = copy.copy(self)
         out.t = self.t.copy()
         out.comp = self.comp.copy()
-        out.n = self.n
-        out._norm_warned = self._norm_warned
         return out
 
     # -- accumulation -------------------------------------------------------
@@ -333,7 +328,7 @@ class SuffStats:
             warnings.warn(
                 "covariate 2-norm exceeds 1; the approximation-quality theory "
                 "assumes normalized covariates (consider rescaling at ingest)",
-                stacklevel=4,
+                stacklevel=_caller_level(),
             )
 
     def accumulate(self, y: float, x) -> "SuffStats":
@@ -407,19 +402,11 @@ class SuffStats:
         return out
 
 
-def new_stats(
-    index_set: MultiIndexSet,
-    mapping: MappingSpec,
-    radius: float,
-    approxes: tuple[PolyApprox, ...] | None = None,
-) -> SuffStats:
-    """Zeroed statistics accumulator for ``mapping`` on ``index_set``.
-
-    For non-logistic mappings the per-term polynomial approximations are
-    fitted automatically (degree ``index_set.M`` on ``[-radius, radius]``)
-    unless supplied.
-    """
-    return SuffStats(index_set, mapping, radius, approxes)
+def new_stats(index_set: MultiIndexSet, mapping: MappingSpec, radius: float) -> SuffStats:
+    """Zeroed statistics accumulator for ``mapping`` on ``index_set``; it fits
+    its own terms (``SuffStats.approxes``), which every fit of non-logistic
+    statistics uses."""
+    return SuffStats(index_set, mapping, radius)
 
 
 def accumulate(stats: SuffStats, y, x) -> SuffStats:
@@ -541,8 +528,8 @@ def serialize(stats: SuffStats) -> bytes:
 
 
 def deserialize(data: bytes, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
-    """Reconstruct statistics from PGLM bytes, re-deriving the mapping and,
-    for general-form models, the folded polynomial coefficients."""
+    """Reconstruct statistics from PGLM bytes, re-deriving the mapping; the
+    fitted terms follow from it, the degree and the radius."""
     if len(data) < _HEADER.size + 4:
         raise StatsFormatError("truncated statistics payload")
     magic, version, model_id, scale, d, M, radius, n = _HEADER.unpack_from(data)
@@ -573,7 +560,6 @@ def deserialize(data: bytes, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
     mapping = get_mapping(name, scale if scale > 0 else None)
     stats = SuffStats(enumerate_indices(d, M, cap=cap), mapping, radius)
     stats.t = np.frombuffer(payload, dtype="<f8").astype(float)
-    stats.comp = np.zeros(count)
     stats.n = int(n)
     return stats
 

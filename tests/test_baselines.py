@@ -110,8 +110,6 @@ class TestMala:
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
-            MalaConfig(target_accept=1.5)
-        with pytest.raises(InvalidInputError):
             MalaConfig(iterations=5)
 
     def test_single_chain_has_no_rhat(self):

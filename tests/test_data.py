@@ -136,6 +136,8 @@ class TestParseLibsvm:
         path.write_text("+1 1:1\n-1 2:1 4:1\n+1 9:1\n")
         with pytest.raises(InvalidInputError, match="index 4 exceeds declared dimension 3"):
             parse_libsvm(path, d=3).materialize()
+        with pytest.raises(InvalidInputError, match="index 4 exceeds declared dimension 3"):
+            list(parse_libsvm(path, d=3).iter_records())
 
 
 def line_oracle(stream):

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from passglm.baselines import laplace
 from passglm.chebyshev import sup_bound_exp, sup_bound_logit, sup_bound_shuber
 from passglm.errors import InvalidInputError, NumericError
 from passglm.mappings import (
@@ -24,6 +26,8 @@ from passglm.mappings import (
     mapping_probit,
     mapping_shuber,
 )
+from passglm.metrics import test_nll as eval_nll
+from passglm.posterior import PriorSpec
 
 
 def random_instance(rng, d=3, n=40):
@@ -194,6 +198,28 @@ class TestLogLikelihood:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
             log_likelihood(spec, np.zeros(1), (y, X))
         assert err.value.record_index == 1
+
+
+    @pytest.mark.parametrize("factory,label_kind", MODEL_CASES[:2])
+    def test_sparse_pair_equals_dense_pair(self, factory, label_kind):
+        rng = np.random.default_rng(5)
+        y, X, theta = model_instance(rng, label_kind, 6, 60)
+        X[rng.random(X.shape) < 0.7] = 0.0
+        spec = factory()
+
+        def readings(pair):
+            post = laplace(spec, PriorSpec.gaussian(4.0), pair)
+            return (
+                log_likelihood(spec, theta, pair),
+                log_likelihood_grad(spec, theta, pair),
+                log_likelihood_hess(spec, theta, pair),
+                post.mean,
+                post.chol,
+                eval_nll(spec, post, pair),
+            )
+
+        for got, want in zip(readings((y, sp.csr_matrix(X))), readings((y, X))):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGradients:

@@ -23,6 +23,7 @@ from passglm.posterior import (
     map_error_certificate,
     posterior_general,
     posterior_lr2,
+    surrogate_loglik_coefficients,
 )
 from passglm.suffstats import enumerate_indices, new_stats
 from tests.test_chebyshev import GOLDEN_B_LOGIT_M2_R4, phi_logit
@@ -138,6 +139,53 @@ class TestPosteriorLr2:
         (approx,) = fit_terms(mapping_logit(), 2, 4.0)
         with pytest.raises(InvalidInputError):
             posterior_lr2(stats, approx, PriorSpec.flat())
+
+
+class TestApproxContract:
+    """A fit uses the statistics' own terms unless raw (logistic) statistics,
+    which do not depend on the radius, are given another approximation."""
+
+    def _poisson_stats(self):
+        rng = np.random.default_rng(40)
+        X = rng.uniform(-0.4, 0.4, (150, 2))
+        y = rng.poisson(1.0, 150).astype(float)
+        return new_stats(enumerate_indices(2, 4), mapping_poisson(), 2.0).accumulate_batch(y, X)
+
+    @pytest.mark.parametrize("M,R", [(4, 0.5), (3, 2.0)], ids=["other radius", "odd degree"])
+    def test_foreign_approx_on_folded_stats_raises(self, M, R):
+        stats = self._poisson_stats()
+        foreign = fit_terms(mapping_poisson(), M, R)[1]
+        prior = PriorSpec.gaussian(4.0)
+        with pytest.raises(InvalidInputError, match="own fitted terms"):
+            posterior_general(stats, foreign, prior, domain_radius=2.0)
+        with pytest.raises(InvalidInputError, match="own fitted terms"):
+            surrogate_loglik_coefficients(stats, foreign)
+        with pytest.raises(InvalidInputError, match="own fitted terms"):
+            map_error_certificate(np.zeros(2), foreign, stats, prior, (np.ones(3), np.zeros((3, 2))))
+
+    def test_own_term_gives_the_fit_of_none(self):
+        stats = self._poisson_stats()
+        prior = PriorSpec.gaussian(4.0)
+        want = posterior_general(stats, None, prior, domain_radius=2.0)
+        for own in fit_terms(mapping_poisson(), 4, 2.0):
+            got = posterior_general(stats, own, prior, domain_radius=2.0)
+            assert np.array_equal(got.map_estimate, want.map_estimate)
+            assert np.array_equal(got.laplace.chol, want.laplace.chol)
+
+    def test_logit_takes_an_approximation_at_another_radius(self):
+        rng = np.random.default_rng(41)
+        y, X = logistic_instance(rng, 3, 300, np.array([1.0, -0.5, 0.5]))
+        stats = lr2_stats(y, X)  # stored at R = 4
+        prior = PriorSpec.gaussian(4.0)
+        stored = posterior_lr2(stats, None, prior)
+        (own,) = fit_terms(mapping_logit(), 2, 4.0)
+        assert np.array_equal(posterior_lr2(stats, own, prior).mean, stored.mean)
+        (narrow,) = fit_terms(mapping_logit(), 2, 2.0)
+        refit = posterior_lr2(stats, narrow, prior)
+        assert np.linalg.norm(refit.mean - stored.mean) > 0.01 * np.linalg.norm(stored.mean)
+        assert np.array_equal(refit.mean, posterior_lr2(lr2_stats(y, X, R=2.0), None, prior).mean)
+        with pytest.raises(InvalidInputError, match="degree must match"):
+            posterior_general(stats, fit_terms(mapping_logit(), 6, 4.0)[0], prior)
 
 
 class TestSampling:

@@ -2,6 +2,7 @@ import itertools
 import math
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from passglm.errors import (
     StatsFormatError,
 )
 import passglm.suffstats as suffstats
+from passglm.data import ArrayStream, build_stats, run_sharded
 from passglm.mappings import (
     MAPPING_FACTORIES,
     degree_weights,
@@ -261,6 +263,35 @@ class TestAccumulate:
         assert np.all(np.isfinite(stats.values()))
 
 
+class TestNormWarning:
+    """The covariate-norm premise warning names the caller's line, whichever
+    entry point folded the record (sharded runs: ``test_data.py``)."""
+
+    X = np.full((4, 3), 0.9)  # 2-norm 1.56
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+
+    def _fresh(self):
+        return new_stats(enumerate_indices(3, 2), mapping_logit(), 4.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: t._fresh().accumulate(1.0, t.X[0]),
+            lambda t: t._fresh().accumulate(1.0, (np.arange(3), t.X[0])),
+            lambda t: t._fresh().accumulate_batch(t.y, t.X),
+            lambda t: build_stats(ArrayStream(t.y, t.X), mapping_logit(), 2, 4.0),
+            lambda t: run_sharded(ArrayStream(t.y, t.X), 1, mapping_logit(), 2, 4.0),
+        ],
+        ids=["dense record", "sparse record", "batch", "build_stats", "one shard"],
+    )
+    def test_names_the_calling_file(self, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(self)
+        (norm,) = [w for w in caught if "2-norm exceeds 1" in str(w.message)]
+        assert norm.filename == __file__
+
+
 def brute_force_stats(spec, approxes, y, X, M):
     """Every statistic as an explicit sum over records of its weight times
     ``np.prod`` of its variables, indices from
@@ -313,7 +344,7 @@ class TestKernel:
         rng = np.random.default_rng(100 * M + len(model))
         for d in range(1, 9):
             y, X = model_records(spec, rng, 37, d)
-            stats = new_stats(enumerate_indices(d, M), spec, 2.0, approxes=approxes)
+            stats = new_stats(enumerate_indices(d, M), spec, 2.0)
             stats.accumulate_batch(y[:20], X[:20]).accumulate_batch(y[20:], X[20:])
             expected = brute_force_stats(spec, approxes, spec.canonicalize_y(y), X, M)
             scale = np.abs(expected).max()
@@ -369,7 +400,7 @@ class TestSparseRecords:
         rng = np.random.default_rng(M)
         iset = enumerate_indices(d, M)
         sparse = new_stats(iset, spec, 2.0)
-        dense = new_stats(iset, spec, 2.0, approxes=sparse.approxes)
+        dense = new_stats(iset, spec, 2.0)
         for _ in range(4):
             idx = np.array(indices, dtype=np.int64)
             vals = rng.uniform(-0.4, 0.4, idx.size)
@@ -431,7 +462,7 @@ class TestSurrogateIdentity:
         spec = mapping_poisson()
         approxes = fit_terms(spec, M, R)
         iset = enumerate_indices(d, M)
-        stats = new_stats(iset, spec, R, approxes=approxes)
+        stats = new_stats(iset, spec, R)
         stats.accumulate_batch(y, X)
         surrogate = self._surrogate_from_stats(stats, None)
         for _ in range(5):
@@ -451,7 +482,7 @@ class TestSurrogateIdentity:
         spec = mapping_shuber(1.0)
         approxes = fit_terms(spec, M, R)
         iset = enumerate_indices(d, M)
-        stats = new_stats(iset, spec, R, approxes=approxes)
+        stats = new_stats(iset, spec, R)
         stats.accumulate_batch(y, X)
         surrogate = self._surrogate_from_stats(stats, None)
         for _ in range(5):
