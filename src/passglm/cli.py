@@ -94,8 +94,10 @@ def _gaussian_from_json(doc: dict) -> GaussianPosterior:
     )
 
 
-def _open_input(args, mapping) -> LibsvmStream:
-    return parse_libsvm(args.input, d=args.dim, labels=mapping.label_mode or "raw")
+def _open_input(args) -> LibsvmStream:
+    """The input file with its labels as written: the mapping checks and maps
+    them, so a label outside the model's domain is an error, not a +1."""
+    return parse_libsvm(args.input, d=args.dim)
 
 
 def cmd_approx(args) -> int:
@@ -126,7 +128,7 @@ def cmd_approx(args) -> int:
 
 def cmd_stats_build(args) -> int:
     mapping = get_mapping(args.model, args.bscale)
-    stream = _open_input(args, mapping)
+    stream = _open_input(args)
     stats = build_stats(stream, mapping, args.degree, args.radius)
     save_stats(stats, args.out)
     log.info("accumulated %d records into %s", stats.n, args.out)
@@ -159,7 +161,7 @@ def cmd_fit(args) -> int:
 def cmd_baseline(args) -> int:
     mapping = get_mapping(args.model, args.bscale)
     prior = PriorSpec.parse(args.prior)
-    stream = _open_input(args, mapping)
+    stream = _open_input(args)
     if args.method == "laplace":
         post = laplace(mapping, prior, stream)
         _write_json(_posterior_to_json(post), args.out)
@@ -202,7 +204,7 @@ def cmd_eval(args) -> int:
     payload["schema_version"] = SCHEMA_VERSION
     if args.test:
         mapping = get_mapping(args.model, args.bscale)
-        stream = parse_libsvm(args.test, d=post.d, labels=mapping.label_mode or "raw")
+        stream = parse_libsvm(args.test, d=post.d)
         y, X = stream.materialize()
         payload["test_nll"] = test_nll(mapping, post, (y, X))
         if mapping.label_mode is not None:

@@ -637,22 +637,18 @@ def build_stats(
 
 
 def run_sharded(
-    source,
+    source: RecordStream,
     shards: int,
     mapping: MappingSpec,
     M: int,
     radius: float,
     batch_size: int = DEFAULT_BATCH,
-    d: int | None = None,
 ) -> SuffStats:
     """Accumulate statistics over ``shards`` worker processes and merge the
     results in shard order.
 
-    ``source`` is either a list of file paths or a :class:`RecordStream`.
-    Files split natively: one shard per file when the counts match, otherwise
-    files are distributed round-robin over at most ``len(source)`` shards, and
-    each worker reads its own files.  A stream is split round-robin: shard
-    ``i`` holds the records of ``source.shard(i, shards)``, numbers ``i, i +
+    ``source`` is a :class:`RecordStream`, split round-robin: shard ``i``
+    holds the records of ``source.shard(i, shards)``, numbers ``i, i +
     shards, ...``.  A stream whose type splits itself, such as an
     :class:`ArrayStream`, gives each worker its own shard.  Any other stream
     is read once, here, and each batch is dealt out: every worker receives its
@@ -660,43 +656,43 @@ def run_sharded(
     its base does; when the base is dealt, its records go out as sparse rows
     and each worker projects its own.  Either way a worker folds the batches
     that ``build_stats(source.shard(i, shards))`` folds, so the statistics do
-    not depend on the route.
+    not depend on the route.  Several files are either built one by one and
+    merged, or wrapped in one stream whose records are then dealt.
 
     With ``shards == 1`` this is exactly the sequential path.  Workers are
     forked processes that send back their serialized statistics; when fork is
     unavailable the shards run one after another in-process, which changes
     timing but not the result.  An error of the reader is raised as it is.
     An error of a worker is raised with its own type and a message naming the
-    shard; a :class:`NumericError` of a round-robin shard carries the record's
-    number in the whole stream.  No worker outlives the call.  A warning a
-    worker raises is raised again here, once per distinct message, after the
-    merge.
+    shard; a :class:`NumericError` carries the record's number in the whole
+    stream.  No worker outlives the call.  A warning a worker raises is raised
+    again here, once per distinct message, after the merge.
     """
+    if not isinstance(source, RecordStream):
+        raise InvalidInputError(
+            f"run_sharded reads one RecordStream, not {type(source).__name__}; for several "
+            "files, run 'passglm stats build' on each and then 'stats merge' (or pass them "
+            "all to 'fit --stats'), or wrap them in one RecordStream, as perfbench's "
+            "PartFiles does, whose records run_sharded then deals"
+        )
     if shards < 1:
         raise InvalidInputError("shard count must be >= 1")
-    round_robin = not isinstance(source, (list, tuple))
-    streams = None
-    if not round_robin:
-        shards = min(shards, max(1, len(source)))
-        streams = _file_shards(source, shards, d)
     if shards == 1:
-        return build_stats(streams[0] if streams else source, mapping, M, radius, batch_size=batch_size)
+        return build_stats(source, mapping, M, radius, batch_size=batch_size)
     if mapping.model_id is None:
         raise InvalidInputError(
             f"sharded execution requires a registered model; mapping {mapping.name!r} has no model id"
         )
-    if round_robin:
-        base = source.base if isinstance(source, ProjectedStream) else source
-        if type(base).shard is not RecordStream.shard:
-            streams = [source.shard(i, shards) for i in range(shards)]
+    base = source.base if isinstance(source, ProjectedStream) else source
+    streams = None
+    if type(base).shard is not RecordStream.shard:
+        streams = [source.shard(i, shards) for i in range(shards)]
     job = mapping, M, radius, batch_size
     if "fork" in mp.get_all_start_methods():
-        payloads = _fork_shards(source, streams, shards, job, round_robin)
+        payloads = _fork_shards(source, streams, shards, job)
     else:
         streams = streams or [source.shard(i, shards) for i in range(shards)]
-        payloads = [
-            _payload(_fold_shard(s, *job), i, shards, round_robin) for i, s in enumerate(streams)
-        ]
+        payloads = [_payload(_fold_shard(s, *job), i, shards) for i, s in enumerate(streams)]
     merged, caught = None, {}
     for payload, found in payloads:
         part = deserialize(payload)
@@ -707,7 +703,7 @@ def run_sharded(
     return merged
 
 
-def _fork_shards(source, streams, count: int, job, round_robin: bool) -> list[tuple]:
+def _fork_shards(source, streams, count: int, job) -> list[tuple]:
     """Serialized statistics and warnings of each shard, each folded in a
     forked process of its own.  With ``streams`` a worker reads its own
     stream; without, ``source`` is read here and dealt (see
@@ -721,7 +717,7 @@ def _fork_shards(source, streams, count: int, job, round_robin: bool) -> list[tu
         try:
             conns[i].send(piece)
         except OSError:  # the worker is gone: raise what stopped it
-            _payload(_receive(conns[i], procs[i], i, count), i, count, round_robin)
+            _payload(_receive(conns[i], procs[i], i, count), i, count)
             raise PassGlmError(f"shard {i} of {count}: worker stopped reading") from None
 
     try:
@@ -754,7 +750,7 @@ def _fork_shards(source, streams, count: int, job, round_robin: bool) -> list[tu
             for i in range(count):
                 send(i, None)
         return [
-            _payload(_receive(conn, proc, i, count), i, count, round_robin)
+            _payload(_receive(conn, proc, i, count), i, count)
             for i, (conn, proc) in enumerate(zip(conns, procs))
         ]
     except BaseException:
@@ -823,47 +819,18 @@ class _WorkerTraceback(Exception):
     raised again in the parent."""
 
 
-def _payload(reply, index: int, count: int, round_robin: bool) -> tuple:
+def _payload(reply, index: int, count: int) -> tuple:
     """The serialized statistics and warnings of a shard's reply.  An error
     reply is raised with the shard named in its message and, for a
-    :class:`NumericError` of a round-robin shard, the record numbered in the
-    whole stream."""
+    :class:`NumericError`, the record numbered in the whole stream."""
     if reply[0] == "ok":
         return reply[1:]
     _, exc, trace = reply
     where = f"shard {index} of {count}"
-    if round_robin and isinstance(exc, NumericError) and exc.record_index is not None:
+    if isinstance(exc, NumericError) and exc.record_index is not None:
         record = index + count * exc.record_index
         where += f" (its record {exc.record_index} is record {record} of the stream)"
         exc.record_index = record
     if exc.args and isinstance(exc.args[0], str):
         exc.args = (f"{where}: {exc.args[0]}", *exc.args[1:])
     raise exc from _WorkerTraceback(f"{where}\n{trace}")
-
-
-def _file_shards(paths, shards: int, d: int | None = None):
-    paths = list(paths)
-    if d is None:
-        opened = [LibsvmStream(p) for p in paths]
-        d = max(s.d for s in opened)
-        for s in opened:
-            s.d = d
-    else:
-        opened = [LibsvmStream(p, d=d) for p in paths]
-    if len(paths) == shards:
-        return opened
-    groups = [[] for _ in range(shards)]
-    for i, s in enumerate(opened):
-        groups[i % shards].append(s)
-    return [_ConcatStream(group, d) for group in groups]
-
-
-class _ConcatStream(RecordStream):
-    def __init__(self, parts, d):
-        self.parts = parts
-        self.d = d
-        self.passes = 0
-
-    def _iter_batches(self, batch_size: int):
-        for part in self.parts:
-            yield from part._iter_batches(batch_size)

@@ -142,22 +142,22 @@ class SurrogatePosterior:
 
 
 def _chol_from_precision(precision: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cholesky of a precision matrix plus the lower Cholesky factor of its
-    inverse, computed via the index-reversal identity (no explicit inverse
-    of the covariance is formed)."""
+    """One Cholesky factorization of a precision matrix, read three ways.
+
+    Returns the lower factor ``m`` of the index-reversed precision ``J P J``
+    (``J`` the reversal), the lower Cholesky factor of the covariance
+    ``P^-1 = (J m^-T J)(J m^-T J)^T`` and the covariance log-determinant.
+    ``P x = r`` solves as ``cho_solve((m, True), r[::-1])[::-1]``; no explicit
+    inverse is formed.
+    """
     try:
-        lam_chol = linalg.cholesky(precision, lower=True)
-    except linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"precision matrix is not positive definite: {exc}")
-    rev = precision[::-1, ::-1]
-    try:
-        m = linalg.cholesky(rev, lower=True)
+        m = linalg.cholesky(precision[::-1, ::-1], lower=True)
     except linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"precision matrix is not positive definite: {exc}")
     eye = np.eye(precision.shape[0])
     cov_chol = linalg.solve_triangular(m, eye, lower=True, trans="T")[::-1, ::-1]
-    logdet_cov = -2.0 * float(np.sum(np.log(np.diag(lam_chol))))
-    return lam_chol, cov_chol, logdet_cov
+    logdet_cov = -2.0 * float(np.sum(np.log(np.diag(m))))
+    return m, cov_chol, logdet_cov
 
 
 def _check_logistic_leading_coefficient(b: np.ndarray) -> None:
@@ -220,8 +220,8 @@ def posterior_lr2(stats: SuffStats, approx: PolyApprox | None, prior: PriorSpec)
     precision = -2.0 * b[2] * T2
     precision[np.diag_indices(d)] += prec_diag
     rhs = b[1] * t1 + prec_diag * prior.mean_vector(d)
-    lam_chol, cov_chol, logdet = _chol_from_precision(precision)
-    mean = linalg.cho_solve((lam_chol, True), rhs)
+    rev_chol, cov_chol, logdet = _chol_from_precision(precision)
+    mean = linalg.cho_solve((rev_chol, True), rhs[::-1])[::-1]
     return GaussianPosterior(mean=mean, chol=cov_chol, logdet=logdet)
 
 

@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .chebyshev import PolyApprox
+from .chebyshev import MAX_DEGREE, PolyApprox
 from .errors import (
     CapacityError,
     ConfigMismatchError,
@@ -279,6 +279,8 @@ class SuffStats:
     def __init__(self, index_set: MultiIndexSet, mapping: MappingSpec, radius: float):
         if not (radius > 0):
             raise InvalidInputError(f"approximation radius must be positive, got {radius}")
+        if index_set.M > MAX_DEGREE:  # no term can be fitted: refuse before the pass
+            raise InvalidInputError(f"degree {index_set.M} exceeds the supported maximum {MAX_DEGREE}")
         self.index_set = index_set
         self.mapping = mapping
         self.radius = float(radius)
@@ -544,6 +546,8 @@ def deserialize(data: bytes, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
     name = next((k for k, f in MAPPING_FACTORIES.items() if f().model_id == model_id), None)
     if name is None:
         raise StatsFormatError(f"unknown model id {model_id}")
+    if M > MAX_DEGREE:
+        raise StatsFormatError(f"degree {M} exceeds the supported maximum {MAX_DEGREE}")
     # check the header against the payload before building its index set;
     # the count stops once it passes the payload, so a hostile header is cheap
     payload = body[_HEADER.size :]

@@ -10,9 +10,9 @@ import pytest
 from passglm.cli import _gaussian_from_json, build_parser, main
 from passglm.data import ArrayStream, build_stats, parse_libsvm, write_libsvm
 from passglm.chebyshev import fit_chebyshev
-from passglm.mappings import fit_terms, mapping_cauchy, mapping_logit
+from passglm.mappings import fit_terms, get_mapping, mapping_cauchy, mapping_logit
 from passglm.posterior import PriorSpec, posterior_lr2
-from passglm.suffstats import load_stats, merge
+from passglm.suffstats import load_stats, merge, serialize
 
 
 @pytest.fixture
@@ -319,6 +319,49 @@ class TestFitAndEval:
                    "--out", tmp_path / "nope.json")
         assert code == 2
         assert "makes the surrogate log-likelihood unbounded above" in capsys.readouterr().err
+
+
+class TestLabels:
+    """The CLI reads labels as written and the model's mapping checks them."""
+
+    @staticmethod
+    def commands(path, model, out, posterior):
+        return [
+            ["stats", "build", "--input", path, "--model", model, "--degree", 2,
+             "--radius", 4, "--dim", 3, "--out", out / "stats.pglm"],
+            ["baseline", "--method", "laplace", "--input", path, "--model", model,
+             "--prior", "gaussian:4", "--dim", 3, "--out", out / "laplace.json"],
+            ["eval", "--posterior", posterior, "--reference", posterior,
+             "--test", path, "--model", model, "--out", out / "report.json"],
+        ]
+
+    @pytest.mark.parametrize("model", ["logit", "probit"])
+    def test_pm1_and_01_files_give_the_same_bytes(self, dataset, tmp_path, model):
+        _, y, X = dataset
+        outputs = []
+        for coding, labels in (("pm1", y), ("01", (y > 0).astype(float))):
+            path = tmp_path / f"{coding}.svm"
+            write_libsvm(path, labels, X)
+            out = tmp_path / coding
+            out.mkdir()
+            for argv in self.commands(path, model, out, out / "laplace.json"):
+                assert run(*argv) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            mapped = parse_libsvm(path, d=3, labels=get_mapping(model).label_mode)
+            assert outputs[-1]["stats.pglm"] == serialize(build_stats(mapped, get_mapping(model), 2, 4.0))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", [0, 1, 2])
+    def test_labels_outside_0_1_are_refused(self, dataset, tmp_path, capsys, command):
+        valid, y, X = dataset
+        path = tmp_path / "two_four.svm"  # libsvm's breast-cancer coding
+        write_libsvm(path, np.where(y > 0, 4.0, 2.0), X)
+        good = tmp_path / "good"
+        good.mkdir()
+        posterior = good / "laplace.json"
+        assert run(*self.commands(valid, "logit", good, posterior)[1]) == 0
+        assert run(*self.commands(path, "logit", tmp_path, posterior)[command]) == 2
+        assert "binary labels must be in {-1, 0, +1}; record 0 has label" in capsys.readouterr().err
 
 
 class TestBaselineCommands:

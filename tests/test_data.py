@@ -607,7 +607,7 @@ class TestRunSharded:
             paths.append(str(p))
             all_y.append(y)
             all_X.append(X)
-        sharded = run_sharded(paths, 3, mapping_logit(), 2, 4.0, d=4)
+        sharded = run_sharded(Parts(paths, 4), 3, mapping_logit(), 2, 4.0)
         sequential = build_stats(
             ArrayStream(np.concatenate(all_y), np.vstack(all_X)), mapping_logit(), 2, 4.0
         )
@@ -627,29 +627,22 @@ class TestRunSharded:
         sequential = build_stats(base, mapping_logit(), 2, 4.0)
         np.testing.assert_allclose(sharded.values(), sequential.values(), rtol=1e-12)
 
-    def test_one_file_uses_one_stream(self, tmp_path, monkeypatch):
-        import passglm.data as data
-
-        rng = np.random.default_rng(9)
-        path = tmp_path / "only.svm"
-        write_libsvm(path, np.where(rng.random(300) < 0.5, 1.0, -1.0), rng.uniform(-0.4, 0.4, (300, 4)))
-        made = []
-        file_shards = data._file_shards
-
-        def recording(*args):
-            made.append(file_shards(*args))
-            return made[-1]
-
-        monkeypatch.setattr(data, "_file_shards", recording)
-        sharded = run_sharded([str(path)], 2, mapping_logit(), 2, 4.0, d=4)
-        assert [len(streams) for streams in made] == [1]
-        sequential = build_stats(parse_libsvm(path, d=4), mapping_logit(), 2, 4.0)
-        np.testing.assert_array_equal(sharded.values(), sequential.values())
-        assert sharded.n == 300
-
     def test_shard_count_validation(self):
         with pytest.raises(InvalidInputError):
             run_sharded(self._dataset(10), 0, mapping_logit(), 2, 4.0)
+
+    def test_file_list_rejected_before_workers_start(self, tmp_path, monkeypatch):
+        path = tmp_path / "only.svm"
+        write_libsvm(path, np.ones(10), np.full((10, 2), 0.1))
+
+        def no_pool(*args):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(data.mp, "get_context", no_pool)
+        for source in ([str(path)], (str(path), str(path))):
+            with pytest.raises(InvalidInputError, match="stats merge"):
+                run_sharded(source, 2, mapping_logit(), 2, 4.0)
+        assert not mp.active_children()
 
     def test_unregistered_mapping_rejected_before_workers_start(self, monkeypatch):
         custom = dataclasses.replace(mapping_logit(), name="custom-logit", model_id=None)
@@ -726,6 +719,31 @@ class TestDealtShards:
         if kind != "array":
             assert (source.base if projected else source).passes == 1
             assert source.passes == 1
+
+    @pytest.mark.parametrize("kind", ["plain", "array"])
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_without_fork_shards_fold_in_process_to_the_same_bytes(self, kind, projected, monkeypatch):
+        rng = np.random.default_rng(19)
+        if projected:
+            spec = ProjectionSpec(seed=19, input_dim=40, output_dim=3)
+            X = np.where(rng.random((300, 40)) < 0.1, rng.uniform(-0.05, 0.05, (300, 40)), 0.0)
+        else:
+            spec, X = None, rng.uniform(-0.3, 0.3, (300, 3))
+        y = np.where(rng.random(300) < 0.5, 1.0, -1.0)
+
+        def sharded():
+            source = self._source(kind, y, X, spec)
+            return serialize(run_sharded(source, 3, mapping_logit(), 2, 4.0, batch_size=32))
+
+        forked = sharded()
+
+        def no_pool(*args):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(data.mp, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(data.mp, "get_context", no_pool)
+        assert sharded() == forked
+        assert not mp.active_children()
 
     def test_dealt_libsvm_file_is_parsed_once(self, tmp_path):
         rng = np.random.default_rng(20)

@@ -659,6 +659,20 @@ class TestSerialization:
         with pytest.raises(StatsFormatError, match="entries"):
             deserialize(payload)
 
+    @pytest.mark.parametrize("model", sorted(MAPPING_FACTORIES))
+    def test_degree_above_the_maximum_is_refused_before_the_pass(self, model):
+        stream = ArrayStream(np.ones(5), np.full((5, 1), 0.5))
+        with pytest.raises(InvalidInputError, match="degree 21 exceeds the supported maximum 20"):
+            build_stats(stream, get_mapping(model), 21, 2.0)
+        assert stream.passes == 0
+        top = build_stats(stream, get_mapping(model), 20, 2.0)
+        assert merge(top, top).n == 10
+
+    def test_header_degree_above_the_maximum_is_a_format_error(self):
+        body = suffstats._HEADER.pack(b"PGLM", 1, 1, 0.0, 1, 21, 4.0, 0) + bytes(8 * 22)
+        with pytest.raises(StatsFormatError, match="degree 21 exceeds the supported maximum"):
+            deserialize(body + struct.pack("<I", crc32c(body)))
+
     def test_capacity_cap_applies_to_payload(self):
         with pytest.raises(CapacityError):
             deserialize(serialize(self._sample_stats()), cap=5)
