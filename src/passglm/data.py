@@ -150,21 +150,45 @@ _BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
 _BYTE_CLASS[[9, 11, 12, 13, 28, 29, 30, 31, 32]] = 0
 _BYTE_CLASS[10] = 1
 _BYTE_CLASS[58] = 3
+# Digits of the longest index the window parser reads itself: 10**18 - 1 is
+# the largest run of nines below 2**63.
+_INDEX_DIGITS = 18
+
+
+def _parse_indices(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The integers spelled by the tokens ``raw[lo:hi]``, read digit by digit
+    as ``int`` reads them, or ``None`` unless every token is 1 to
+    ``_INDEX_DIGITS`` ASCII digits (other spellings, such as ``+3``, ``1_0``
+    or a value past int64, are left to ``int``)."""
+    width = hi - lo
+    top = int(width.max(initial=0))
+    if top > _INDEX_DIGITS:
+        return None
+    out = np.zeros(width.size, dtype=np.int64)
+    for k in range(top):
+        live = width > k
+        digit = raw[np.where(live, lo + k, lo)] - np.uint8(48)  # a non-digit wraps past 9
+        if np.any(live & (digit > 9)):
+            return None
+        out = np.where(live, 10 * out + digit, out)
+    return out
 
 
 def _parse_window(lines: list[str]):
     """Parse whole libsvm lines with numpy: ``(y, indptr, idx, vals)`` with
     0-based indices and raw labels, or ``None`` when any line is malformed or
     the text is not ASCII.  Tokens are split where ``str.split`` splits them
-    and every number goes through the same ``int``/``float`` as
-    ``LibsvmStream._parse_line``, so an accepted window gives the same records
-    bit for bit."""
+    and every number goes through the same ``float`` as
+    ``LibsvmStream._parse_line``, and every index reads as its ``int`` does
+    (``_parse_indices``), so an accepted window gives the same records bit
+    for bit."""
     text = "".join(lines)
     if not text.isascii():
         return None
     if "#" in text:
         text = "".join(ln for ln in lines if not ln.lstrip().startswith("#"))
-    cls = _BYTE_CLASS[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    cls = _BYTE_CLASS[raw]
     edge = np.diff((cls >= 2).view(np.int8), prepend=np.int8(0), append=np.int8(0))
     starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
     line = np.searchsorted(np.flatnonzero(cls == 1), starts)
@@ -179,16 +203,18 @@ def _parse_window(lines: list[str]):
     colon = colons[first[feature]]
     if np.any((colon <= starts[feature]) | (colon >= ends[feature] - 1)):
         return None
+    pos = _parse_indices(raw, starts[feature], colon)
+    if pos is None:
+        return None
     # with colons as spaces, str.split gives label, (index, value)* per record
     tokens = np.array(text.replace(":", " ").split(), dtype=object)
     at = np.cumsum(1 + feature) - (1 + feature)
     try:
         y = np.fromiter(map(float, tokens[at[is_label]]), dtype=float)
-        pos = np.fromiter(map(int, tokens[at[feature]]), dtype=np.int64)
         vals = np.fromiter(map(float, tokens[at[feature] + 1]), dtype=float)
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
-    idx = pos - 1  # checked 1-based first, as pos - 1 can wrap
+    idx = pos - 1
     same = line[feature][1:] == line[feature][:-1]
     if np.any(pos < 1) or np.any(same & (idx[1:] <= idx[:-1])):
         return None

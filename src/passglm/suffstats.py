@@ -22,18 +22,21 @@ Either way the statistics fit their own terms, ``SuffStats.approxes``, from
 the mapping, ``M`` and the radius.  A fit of raw sums, which do not depend on
 the radius, may use another approximation of their degree; folded sums only their own.
 
-Both forms run through one kernel, ``_delta``.  A degree-``m`` index splits
-into a head (its first ``m // 2`` variables) and a tail (the other
-``m - m // 2``), so its entry is the sum over records of a head monomial
-times a weighted tail monomial.  The kernel therefore builds record-major
-monomials only up to degree ``ceil(M / 2)`` (at d = 10, M = 6, 285 columns
-of degrees 1 to 3 instead of all 8,008 indices) and takes each degree's
-entries from one matrix product of the head block with the weighted tail
-block, read at the cached head and tail positions of
-``MultiIndexSet.halves``.  Degree 1 is a (weighted) column sum and degree 2
-one whole ``d x d`` Gram matrix.  ``_BLOCK_BYTES`` bounds the monomials above
-degree 1 of one block of records and each product of degree 3 or more, whose
-heads are split into chunks; with ``M <= 2`` a batch is one block.
+Both forms run through one kernel, ``_delta``.  Degrees 0 to 2 are
+(weighted) column sums and one ``d x d`` Gram product of the record-major
+block.  A degree-``m`` index with ``m >= 3`` splits into a head (its first
+``m // 2`` variables) and a tail (the other ``m - m // 2``), so its entry is
+the sum over records of the weight times a head monomial times a tail
+monomial.  The kernel therefore builds feature-major ``(k, B)`` monomials
+only up to degree ``ceil(M / 2)`` (at d = 10, M = 6, 285 rows of degrees 1
+to 3 instead of all 8,008 indices).  A head whose last variable is ``a``
+pairs exactly with the tails whose first variable is at least ``a``, a
+suffix of the tail block, so heads are grouped by last variable and each
+group, or run of small groups, takes one matrix product with its suffix
+(``MultiIndexSet.halves``); nearly every cell it computes is an entry.
+``_BLOCK_BYTES`` sets the monomials one block of records holds (no fewer
+than the block's statistics) and bounds each product; with ``M <= 2`` a
+batch is one block.
 
 Every entry carries a Kahan compensation term so that sharded accumulation
 and merge agree with a sequential pass to near machine precision.
@@ -82,9 +85,12 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHHdQHdQ")
 
 
-# Upper bound on the monomials above degree 1 of one block of records, and on
-# each matrix product of degree >= 3; chosen by a sweep on d = 10, M = 6.
+# The monomials the kernel holds for one block of records, unless the block's
+# statistics are larger, and the bound on each product of degree >= 3.  Swept
+# on d = 10, M = 6 and d = 60, M = 4 (CHANGES.md).
 _BLOCK_BYTES = 1 << 22
+# The most product cells a chunk of degree >= 3 may compute per entry it reads.
+_CHUNK_WASTE = 1.5
 
 
 class MultiIndexSet:
@@ -162,23 +168,76 @@ class MultiIndexSet:
 
     @cached_property
     def parent(self) -> list:
-        """``parent[j]`` for ``2 <= j <= ceil(M / 2)``: for each index of degree
-        ``j``, the position within the degree ``j - 1`` block of the index
-        with its last variable dropped."""
+        """``parent[j] = (prefix, last)`` for ``2 <= j <= ceil(M / 2)``: for
+        each index of degree ``j``, the position within the degree ``j - 1``
+        block of the index with its last variable dropped, and that variable."""
         top = (self.M + 1) // 2
-        return [None, None] + [self._rank(self._block(j)[:, : j - 1]) for j in range(2, top + 1)]
+        return [None, None] + [
+            (self._rank(self._block(j)[:, : j - 1]), self._block(j)[:, j - 1].copy())
+            for j in range(2, top + 1)
+        ]
 
     @cached_property
     def halves(self) -> list:
-        """``halves[m] = (head, tail)`` for ``m >= 2``: for each index of degree
-        ``m``, the position of its first ``m // 2`` variables within the degree
-        ``m // 2`` block and of its last ``m - m // 2`` within theirs.  ``head``
-        is nondecreasing, as a degree block is in lexicographic order."""
-        out = [None, None]
-        for m in range(2, self.M + 1):
-            block = self._block(m)
-            out.append((self._rank(block[:, : m // 2]), self._rank(block[:, m // 2 : m])))
+        """``halves[m]`` for ``m >= 3``: the chunks ``(heads, start, dest)``
+        whose products give the degree-``m`` entries.
+
+        An entry is its head (first ``m // 2`` variables) times its tail (the
+        other ``m - m // 2``).  A head whose last variable is ``a`` pairs with
+        every tail whose first variable is at least ``a`` and no other; in
+        canonical order those tails are a suffix of their block, and the
+        head's entries are one run of the degree-``m`` block in the same
+        order.  So heads are grouped by last variable.  A chunk takes the
+        ``heads`` (positions in their block) of consecutive last variables
+        times the tails from ``start``, the suffix its smallest last variable
+        pairs with; ``dest`` holds the global position of each cell of that
+        product, or ``len(self)`` for a cell no entry reads.
+
+        Consecutive groups merge while the chunk computes at most
+        ``_CHUNK_WASTE`` cells per entry, so that small groups do not each
+        become one thin product; a chunk whose product passes
+        ``_BLOCK_BYTES`` is split by heads."""
+        out = [None, None, None]
+        cap = max(1, _BLOCK_BYTES // 8)
+        for m in range(3, self.M + 1):
+            h, t = m // 2, m - m // 2
+            # count[a]: the tails whose first variable is at least a
+            count = np.array([math.comb(self.d - a + t - 1, t) for a in range(self.d)], dtype=np.int64)
+            last = self._block(h)[:, h - 1]
+            first = self.offsets[m] + np.cumsum(count[last]) - count[last]
+            order = np.argsort(last, kind="stable")
+            last, first = last[order], first[order]
+            starts = np.flatnonzero(np.diff(last, prepend=-1))
+            read = np.append(0, np.cumsum(count[last]))  # entries of the heads before each one
+            bounds = []  # [lo, hi) in head order of each chunk, before splitting
+            for g0, g1 in zip(starts, np.append(starts[1:], len(last))):
+                if bounds:
+                    lo = bounds[-1][0]
+                    cells = (g1 - lo) * count[last[lo]]
+                    if cells <= cap and cells <= _CHUNK_WASTE * (read[g1] - read[lo]):
+                        bounds[-1][1] = g1
+                        continue
+                bounds.append([g0, g1])
+            chunks = []
+            for lo, hi in bounds:
+                width = count[last[lo]]
+                step = max(1, cap // width)
+                cols = np.arange(width)
+                for a in range(lo, hi, step):
+                    b = min(a + step, hi)
+                    skip = (width - count[last[a:b]])[:, None]
+                    dest = np.where(cols >= skip, first[a:b, None] + cols - skip, len(self))
+                    chunks.append((order[a:b], int(count[0] - width), dest.astype(np.intp)))
+            out.append(chunks)
         return out
+
+    @cached_property
+    def held(self) -> int:
+        """The monomials per record the kernel holds at degree ``M >= 3``:
+        the transposed covariates, every degree up to ``ceil(M / 2)`` and the
+        (weighted) heads of one chunk."""
+        rows = max((len(dest) for chunks in self.halves[3:] for _, _, dest in chunks), default=0)
+        return int(self.offsets[(self.M + 1) // 2 + 1] - self.offsets[1] + rows)
 
 
 def enumerate_indices(d: int, M: int, cap: int = DEFAULT_INDEX_CAP) -> MultiIndexSet:
@@ -227,43 +286,62 @@ def _caller_level() -> int:
     return level
 
 
-def _kahan_add(t: np.ndarray, comp: np.ndarray, delta, at=slice(None)) -> None:
-    y = delta - comp[at]
-    s = t[at] + y
-    comp[at] = (s - t[at]) - y
+def _kahan_add(t: np.ndarray, comp: np.ndarray, delta: np.ndarray, at=slice(None)) -> None:
+    """Compensated ``t[at] += delta``, overwriting ``delta``."""
+    delta -= comp[at]
+    s = t[at] + delta
+    err = s - t[at]
+    err -= delta
+    comp[at] = err
     t[at] = s
 
 
-def _delta(iset: MultiIndexSet, base: np.ndarray, G: np.ndarray | None) -> np.ndarray:
+def _monomial_space(iset: MultiIndexSet, records: int) -> list:
+    """Buffers for the monomials of degrees 2 to ``ceil(M / 2)`` of up to
+    ``records`` records, which ``_delta`` fills; kept across blocks, so that
+    no block maps fresh pages."""
+    return [np.empty(records * prefix.size) for prefix, _ in iset.parent[2:]]
+
+
+def _delta(iset: MultiIndexSet, base: np.ndarray, G: np.ndarray | None, space=None) -> np.ndarray:
     """Statistics of one block of records: ``base`` is ``(B, d)`` (``y x`` for
     raw monomial sums, else ``x``) and ``G`` the ``(B, M + 1)`` degree weights,
     ``None`` for raw sums.
 
-    Record-major monomials are built only up to degree ``ceil(M / 2)``.  The
-    entry of a degree-``m`` index is the sum over records of its head
-    monomial times its weighted tail monomial (``MultiIndexSet.halves``), so
-    each chunk of heads takes one matrix product; the tails a chunk needs are
-    a suffix of the tail block in canonical order.
+    Degrees 0 to 2 come from ``base`` as column sums and one Gram product.
+    For degree 3 and up, feature-major ``(k, B)`` monomials are built only up
+    to degree ``ceil(M / 2)``, and each chunk of ``MultiIndexSet.halves``
+    takes one matrix product of its heads with the suffix of tails they pair
+    with, scattered to its entries.  The degree weight goes on the heads,
+    which are never wider than the tails.
     """
-    mono = [None, base]
-    for j in range(2, len(iset.parent)):
-        mono.append(mono[j - 1][:, iset.parent[j]] * base[:, iset._block(j)[:, j - 1]])
-    delta = np.empty(len(iset))
+    delta = np.empty(len(iset) + 1)  # the last slot takes the unread cells
     delta[0] = len(base) if G is None else G[:, 0].sum()
     if iset.M >= 1:
         delta[1 : iset.d + 1] = base.sum(axis=0) if G is None else base.T @ G[:, 1]
-    for m in range(2, iset.M + 1):
-        heads, tails = mono[m // 2], mono[m - m // 2]
-        head, tail = iset.halves[m]
-        weighted = tails if G is None else G[:, m, None] * tails
-        # degree 2 is the d x d Gram matrix, taken whole as one product
-        span = heads.shape[1] if m == 2 else max(1, _BLOCK_BYTES // (8 * tails.shape[1]))
-        out = delta[iset.offsets[m] : iset.offsets[m + 1]]
-        for a in range(0, heads.shape[1], span):
-            lo, hi = np.searchsorted(head, (a, a + span))
-            s = tail[lo:hi].min()
-            P = heads[:, a : a + span].T @ weighted[:, s:]
-            out[lo:hi] = P[head[lo:hi] - a, tail[lo:hi] - s]
+    if iset.M >= 2:
+        weighted = base if G is None else G[:, 2, None] * base
+        pairs = iset._block(2)
+        delta[iset.offsets[2] : iset.offsets[3]] = (base.T @ weighted)[pairs[:, 0], pairs[:, 1]]
+    if iset.M >= 3:
+        B = len(base)
+        space = _monomial_space(iset, B) if space is None else space
+        mono = [None, np.ascontiguousarray(base.T)]
+        for (prefix, last), flat in zip(iset.parent[2:], space):
+            rows = flat[: prefix.size * B].reshape(prefix.size, B)
+            np.take(mono[-1], prefix, axis=0, out=rows, mode="clip")
+            rows *= mono[1][last]
+            mono.append(rows)
+        GT = None if G is None else np.ascontiguousarray(G.T)
+        for m in range(3, iset.M + 1):
+            heads, tails = mono[m // 2], mono[m - m // 2]
+            weight = None if G is None else GT[m]
+            for rows, start, dest in iset.halves[m]:
+                H = heads[rows]
+                if weight is not None:
+                    H *= weight
+                delta[dest] = H @ tails[start:].T
+    delta = delta[:-1]
     if G is not None:
         delta *= iset.multinom
     return delta
@@ -370,8 +448,11 @@ class SuffStats:
 
     def _absorb(self, y: np.ndarray, X: np.ndarray, iset: MultiIndexSet, at) -> "SuffStats":
         """Add the statistics of ``iset`` over the records ``(y, X)`` at the
-        entries ``at`` of this accumulator, one block of records at a time;
-        a block's monomials above degree 1 fill at most ``_BLOCK_BYTES``."""
+        entries ``at`` of this accumulator, one block of records at a time.
+        With ``M >= 3`` a block's monomials (``MultiIndexSet.held``) fill
+        ``_BLOCK_BYTES``, or as much as the block's statistics where that is
+        more: each block also scatters, scales and adds every entry, work
+        that fewer records would not amortize."""
         if not np.all(np.isfinite(X)):
             bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
             raise NumericError("non-finite covariate value", record_index=self.n + bad)
@@ -380,11 +461,11 @@ class SuffStats:
 
         base = y[:, None] * X if self.mapping.raw_monomial else X
         G = None if self.mapping.raw_monomial else degree_weights(self.mapping, self.approxes, y)
-        above = sum(map(len, iset.parent[2:]))
-        step = max(1, len(y) if above == 0 else _BLOCK_BYTES // (8 * above))
+        step = max(1, len(y) if iset.M <= 2 else max(_BLOCK_BYTES // 8, len(iset)) // iset.held)
+        space = _monomial_space(iset, min(step, len(y))) if iset.M >= 3 else None
         for lo in range(0, len(y), step):
             sub = None if G is None else G[lo : lo + step]
-            _kahan_add(self.t, self.comp, _delta(iset, base[lo : lo + step], sub), at)
+            _kahan_add(self.t, self.comp, _delta(iset, base[lo : lo + step], sub, space), at)
         self.n += len(y)
         return self
 
@@ -398,8 +479,8 @@ class SuffStats:
                 f"and {other.config_key()}"
             )
         out = self.copy()
-        _kahan_add(out.t, out.comp, other.t)
-        _kahan_add(out.t, out.comp, other.comp)
+        _kahan_add(out.t, out.comp, other.t.copy())
+        _kahan_add(out.t, out.comp, other.comp.copy())
         out.n = self.n + other.n
         return out
 

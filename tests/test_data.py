@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing as mp
 import os
+import re
 import signal
 import tracemalloc
 import warnings
@@ -208,6 +209,24 @@ def libsvm_text(draw):
     return text
 
 
+def spelled_index(j: int):
+    """Spellings of the index ``j`` that ``int`` reads: plain digits, leading
+    zeros, a sign or an underscore."""
+    return st.sampled_from([str(j), str(j), "0" * 17 + str(j), "0" * 20 + str(j), f"+{j}", f"{j // 10}_{j % 10}"])
+
+
+@st.composite
+def spelled_record(draw):
+    """A libsvm line whose increasing indices are spelled in various ways; the
+    last may have 19 or 20 digits, within int64 or past it."""
+    idx = sorted(draw(st.sets(st.integers(1, 99), max_size=4)))
+    cells = [draw(spelled_index(j)) for j in idx]
+    if draw(st.booleans()):
+        cells.append(str(draw(st.one_of(st.integers(10**18, 10**20 - 1), st.integers(2**63, 2**64)))))
+    value = st.sampled_from(["1", "-0.25", "3e-2"])
+    return " ".join([draw(st.sampled_from(["1", "-1", "0.5"]))] + [f"{c}:{draw(value)}" for c in cells])
+
+
 class TestWindowParser:
     """The numpy window parser against the line-at-a-time grammar."""
 
@@ -246,6 +265,41 @@ class TestWindowParser:
         if want:
             np.testing.assert_array_equal(bits(np.concatenate(ys)), bits([w[0] for w in want]))
             np.testing.assert_array_equal(bits(np.vstack(X)), bits(dense))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(spelled_record(), min_size=1, max_size=6), strict=st.booleans())
+    @example(lines=["1 9223372036854775808:1"], strict=True)
+    def test_index_spellings_read_as_the_line_parser_reads_them(self, tmp_path, lines, strict):
+        lines = [line + "\n" for line in lines]
+        plain = all(
+            re.fullmatch("[0-9]{1,18}", tok.split(":")[0]) for line in lines for tok in line.split()[1:]
+        )
+        window = data._parse_window(lines)
+        assert (window is not None) == plain  # digits only: no fallback to int
+        path = tmp_path / "spelled.svm"
+        path.write_text("".join(lines))
+        stream = LibsvmStream(path, d=10**19, strict=strict)
+        want, error, skipped = line_oracle(stream)
+        if window is not None:
+            y, indptr, idx, vals = window
+            assert error is None and skipped == 0
+            assert [bits(v) for v in y] == [bits(w[0]) for w in want]
+            np.testing.assert_array_equal(indptr, np.cumsum([0] + [w[1].size for w in want]))
+            np.testing.assert_array_equal(idx, np.concatenate([w[1] for w in want]))
+            np.testing.assert_array_equal(bits(vals), bits(np.concatenate([w[2] for w in want])))
+        if error is not None:
+            with pytest.raises(InvalidInputError) as info:
+                list(stream.iter_records())
+            assert str(info.value) == error
+            return
+        got = list(stream.iter_records())
+        assert stream.skipped == skipped
+        assert len(got) == len(want)
+        for (y, (idx, vals)), (wy, widx, wvals) in zip(got, want):
+            assert bits(y) == bits(wy)
+            np.testing.assert_array_equal(idx, widx)
+            np.testing.assert_array_equal(bits(vals), bits(wvals))
 
     def test_usual_text_stays_on_the_window_path(self, tmp_path, monkeypatch):
         path = tmp_path / "usual.svm"

@@ -369,21 +369,76 @@ class TestKernel:
         assert np.array_equal(stats.t, t)
         assert np.array_equal(stats.comp, comp)
 
+    @pytest.mark.parametrize("block_bytes", [512, None])
+    @pytest.mark.parametrize(
+        "model,d,M",
+        [(model, 12, M) for model in ("logit", "poisson") for M in (3, 4, 5)]
+        + [("logit", 30, 3), ("logit", 30, 4), ("poisson", 30, 3), ("poisson", 30, 4), ("poisson", 30, 5)],
+    )
+    def test_merged_and_split_chunks_match_brute_force(self, model, d, M, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(suffstats, "_BLOCK_BYTES", block_bytes)
+        spec = get_mapping(model)
+        iset = enumerate_indices(d, M)
+        # the cases this covers: chunks spanning several last variables by
+        # default, and one last variable's heads split at 512 bytes (a head
+        # of degree 1 is its last variable's only one)
+        lasts = [
+            [np.unique(iset._block(m // 2)[heads, m // 2 - 1]) for heads, _, _ in iset.halves[m]]
+            for m in range(3, M + 1)
+        ]
+        merged = any(c.size > 1 for chunks in lasts for c in chunks)
+        split = any(np.unique(np.concatenate(c)).size < sum(map(len, c)) for c in lasts)
+        assert merged if block_bytes is None else (split or M == 3)
+        approxes = None if spec.raw_monomial else fit_terms(spec, M, 2.0)
+        y, X = model_records(spec, np.random.default_rng(d + M), 9, d)
+        stats = new_stats(iset, spec, 2.0).accumulate_batch(y, X)
+        expected = brute_force_stats(spec, approxes, spec.canonicalize_y(y), X, M)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(stats.values(), expected, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("d,M", [(10, 6), (12, 5), (30, 4), (100, 3)])
+    def test_chunks_multiply_few_cells_they_do_not_read(self, d, M):
+        iset = enumerate_indices(d, M)
+        for m in range(3, M + 1):
+            chunks = iset.halves[m]
+            cells = np.concatenate([dest.ravel() for _, _, dest in chunks])
+            # every entry of the degree is written by exactly one cell
+            read = np.sort(cells[cells < len(iset)])
+            np.testing.assert_array_equal(read, np.arange(iset.offsets[m], iset.offsets[m + 1]))
+            if (d, M) == (10, 6):  # full products took 4.2x, 6.0x and 9.7x at degrees 4-6
+                assert cells.size <= 1.5 * read.size
+
     def test_memory_stays_below_full_monomial_gather(self):
-        # the (|K|, B) monomial gather this kernel replaced peaked at 33.0 MB
-        # here, and an unchunked degree-4 product at 43.8 MB
+        # A block's monomials and one chunk's heads fill _BLOCK_BYTES, or the
+        # statistics' size where that is more, and a chunk's product at most
+        # _BLOCK_BYTES, beside the block's statistics; the compensated add
+        # then holds the monomials' buffers, the block's statistics and two
+        # temporaries of their size.  Earlier kernels peaked here at 33.0 MB
+        # (a full monomial gather) and 21.8 MB (weighted tails left uncounted).
         rng = np.random.default_rng(60)
         spec = mapping_poisson()
         y, X = model_records(spec, rng, 300, 60)
-        stats = new_stats(enumerate_indices(60, 4), spec, 2.0)
-        stats.accumulate_batch(y[:2], X[:2])  # build the cached positions
+        iset = enumerate_indices(60, 4)
+        stats = new_stats(iset, spec, 2.0)
+        stats.accumulate_batch(y[:2], X[:2])  # build the cached chunks
+        monomials = max(suffstats._BLOCK_BYTES, 8 * len(iset))
+        kernel = 8 * (len(iset) + 1) + monomials + suffstats._BLOCK_BYTES
+        inputs = 1e6  # the covariates, labels and weights, a few copies each
         tracemalloc.start()
         try:
             stats.accumulate_batch(y, X)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            step = monomials // (8 * iset.held)
+            G = degree_weights(spec, stats.approxes, y[:step])
+            before = tracemalloc.get_traced_memory()[0]
+            suffstats._delta(iset, X[:step], G)
+            block = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 33.0e6
+        assert block < kernel + inputs
+        assert peak < max(kernel, monomials + 3 * 8 * len(iset)) + inputs
 
 
 class TestSparseRecords:
