@@ -18,7 +18,7 @@ from .errors import (
     InvalidInputError,
     NumericError,
 )
-from .mappings import MappingSpec, _check_finite, _loglik_derivs, _materialize
+from .mappings import MappingSpec, _check_finite, _loglik_derivs, _records
 from .metrics import _average_ranks
 from .posterior import GaussianPosterior, PriorSpec, _chol_from_precision
 
@@ -45,8 +45,7 @@ def exact_map(
     Returns the optimum and the Hessian of the negative log-posterior there.
     The absolute gradient norm at the reported optimum is at most ``tol``.
     """
-    y, X = _materialize(data)
-    y = spec.canonicalize_y(y)
+    y, X = _records(spec, data)
     d = X.shape[1]
     mean = prior.mean_vector(d)
     prec = np.diag(prior.precision_diag(d))
@@ -137,8 +136,7 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
     Metropolis-Hastings correction; ``D`` is a diagonal preconditioner frozen
     after burn-in.
     """
-    y, X = _materialize(data)
-    y = spec.canonicalize_y(y)
+    y, X = _records(spec, data)
     d = X.shape[1]
     prior_mean = prior.mean_vector(d)
     prior_prec = prior.precision_diag(d)
@@ -242,8 +240,7 @@ def sgd(
     """
     if epochs < 1:
         raise InvalidInputError("epochs must be >= 1")
-    y, X = _materialize(data)
-    y = spec.canonicalize_y(y)
+    y, X = _records(spec, data)
     n, d = X.shape
     if prior is not None and prior.kind == "gaussian":
         lam = float(np.max(prior.precision_diag(d)))

@@ -36,7 +36,7 @@ from .data import (
     write_libsvm,
 )
 from .errors import PassGlmError
-from .mappings import MAPPING_FACTORIES, get_mapping
+from .mappings import MAPPING_FACTORIES, _records, get_mapping
 from .metrics import compare_posteriors, inner_product_histogram, roc_auc, test_nll
 from .posterior import GaussianPosterior, PriorSpec, posterior_general, posterior_lr2
 from .suffstats import load_stats, merge, save_stats
@@ -204,11 +204,10 @@ def cmd_eval(args) -> int:
     payload["schema_version"] = SCHEMA_VERSION
     if args.test:
         mapping = get_mapping(args.model, args.bscale)
-        stream = parse_libsvm(args.test, d=post.d)
-        y, X = stream.materialize()
+        y, X = _records(mapping, parse_libsvm(args.test, d=post.d))
         payload["test_nll"] = test_nll(mapping, post, (y, X))
         if mapping.label_mode is not None:
-            payload["auc"] = roc_auc(np.asarray(X @ post.mean), mapping.canonicalize_y(y))
+            payload["auc"] = roc_auc(np.asarray(X @ post.mean), y)
         hist = inner_product_histogram((y, X), post.mean, radius=args.radius)
         payload["histogram"] = {
             "counts": hist.counts.tolist(),

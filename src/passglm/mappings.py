@@ -20,7 +20,8 @@ factory with a fresh ``model_id``.
 The exact log-likelihood and its derivatives in the linear predictor
 ``x . theta`` are evaluated in one place, ``_loglik_derivs``.  The public
 reductions below, the exact baselines, the held-out metrics and the MAP error
-certificate all call it, so no other module knows the term shape.
+certificate all call it, so no other module knows the term shape.  They read
+records through ``_records``: the whole source in memory, its labels mapped.
 
 A mapping with ``raw_monomial`` set (the logistic one) is special-cased
 throughout the package: since its label enters only through ``y * x`` and
@@ -434,10 +435,11 @@ def _materialize(data) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(y, dtype=float), _dense(X)
 
 
-def _as_batches(data, batch_size=8192):
-    """A record source in dense batches: a stream's, or a ``(y, X)`` pair as one."""
-    for y, X in data.batches(batch_size) if hasattr(data, "batches") else [data]:
-        yield np.asarray(y, dtype=float), _dense(X)
+def _records(spec: MappingSpec, data) -> tuple[np.ndarray, np.ndarray]:
+    """All of a record source as dense ``(y, X)`` with the labels mapped to
+    ``spec``'s convention; a label outside its domain raises, naming its record."""
+    y, X = _materialize(data)
+    return spec.canonicalize_y(y), X
 
 
 def _term_args(term: Term, y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -471,10 +473,10 @@ def _loglik_derivs(
     return out
 
 
-def _check_finite(vals: np.ndarray, what: str, first_record: int = 0) -> None:
+def _check_finite(vals: np.ndarray, what: str) -> None:
     bad = ~np.isfinite(vals)
     if bad.any():
-        idx = first_record + int(np.argmax(bad))
+        idx = int(np.argmax(bad))
         raise NumericError(f"non-finite {what} contribution at record {idx}", record_index=idx)
 
 
@@ -486,42 +488,31 @@ def batch_log_likelihood(spec: MappingSpec, theta: np.ndarray, y: np.ndarray, X)
 def log_likelihood(spec: MappingSpec, theta: np.ndarray, data) -> float:
     """Exact data log-likelihood, summed over a record source.
 
-    ``data`` is either a stream exposing ``batches`` or a ``(y, X)`` pair.
-    Raises :class:`NumericError` naming the first offending record when a
-    non-finite contribution appears.
+    ``data`` is a stream or a ``(y, X)`` pair, held in memory whole; labels
+    are mapped to the model's convention and checked (``_records``).  Raises
+    :class:`NumericError` naming the first offending record when a non-finite
+    contribution appears.
     """
-    theta = np.asarray(theta, dtype=float)
-    total = 0.0
-    offset = 0
-    for y, X in _as_batches(data):
-        vals = batch_log_likelihood(spec, theta, y, X)
-        _check_finite(vals, "log-likelihood", offset)
-        total += float(vals.sum())
-        offset += len(vals)
-    return total
+    y, X = _records(spec, data)
+    vals = _loglik_derivs(spec, y, X @ np.asarray(theta, dtype=float))[0]
+    _check_finite(vals, "log-likelihood")
+    return float(vals.sum())
 
 
 def log_likelihood_grad(spec: MappingSpec, theta: np.ndarray, data) -> np.ndarray:
-    """Analytic gradient of the exact log-likelihood."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    offset = 0
-    for y, X in _as_batches(data):
-        w = _loglik_derivs(spec, y, X @ theta, 1, lowest=1)[1]
-        _check_finite(w, "gradient", offset)
-        grad += X.T @ w
-        offset += len(w)
-    return grad
+    """Analytic gradient of the exact log-likelihood; ``data`` as for :func:`log_likelihood`."""
+    y, X = _records(spec, data)
+    w = _loglik_derivs(spec, y, X @ np.asarray(theta, dtype=float), 1, lowest=1)[1]
+    _check_finite(w, "gradient")
+    return X.T @ w
 
 
 def log_likelihood_hess(spec: MappingSpec, theta: np.ndarray, data) -> np.ndarray:
-    """Analytic Hessian of the exact log-likelihood (dense ``d x d``)."""
-    theta = np.asarray(theta, dtype=float)
-    hess = np.zeros((theta.size, theta.size))
-    for y, X in _as_batches(data):
-        w = _loglik_derivs(spec, y, X @ theta, 2, lowest=2)[2]
-        hess += X.T @ (w[:, None] * X)
-    return hess
+    """Analytic dense Hessian of the exact log-likelihood; ``data`` as for :func:`log_likelihood`."""
+    y, X = _records(spec, data)
+    w = _loglik_derivs(spec, y, X @ np.asarray(theta, dtype=float), 2, lowest=2)[2]
+    _check_finite(w, "Hessian")
+    return X.T @ (w[:, None] * X)
 
 
 # --- polynomial coefficient machinery --------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, MetricError
-from .mappings import MappingSpec, _materialize, batch_log_likelihood
+from .mappings import MappingSpec, _materialize, _records, batch_log_likelihood
 
 __all__ = [
     "EvalReport",
@@ -101,16 +101,14 @@ def test_nll(spec: MappingSpec, estimate, data) -> float:
     if hasattr(estimate, "chol"):  # posterior object: plug in its mean
         estimate = estimate.mean
     theta = np.asarray(estimate, dtype=float)
-    y, X = _materialize(data)
-    y = spec.canonicalize_y(y)
+    y, X = _records(spec, data)
     vals = batch_log_likelihood(spec, theta, y, X)
     return -float(vals.mean())
 
 
 def test_nll_predictive(spec: MappingSpec, posterior, data, draws: int = 100, seed: int = 0) -> float:
     """Monte Carlo posterior-predictive mean negative log-likelihood."""
-    y, X = _materialize(data)
-    y = spec.canonicalize_y(y)
+    y, X = _records(spec, data)
     thetas = posterior.sample(draws, seed=seed)
     acc = np.full(len(y), -np.inf)
     for theta in thetas:

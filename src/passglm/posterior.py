@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
     PathologicalApproximationError,
 )
-from .mappings import _materialize, _term_args, log_likelihood_hess
+from .mappings import _records, _term_args, log_likelihood_hess
 from .suffstats import MultiIndexSet, SuffStats, enumerate_indices
 
 __all__ = [
@@ -496,8 +496,7 @@ def map_error_certificate(
     mapping = stats.mapping
     d = exact_map.size
 
-    y, X = _materialize(data)
-    y = mapping.canonicalize_y(y)
+    y, X = _records(mapping, data)
     s = X @ exact_map
 
     eps_n = 0.0

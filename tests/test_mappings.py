@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from passglm.baselines import laplace
 from passglm.chebyshev import sup_bound_exp, sup_bound_logit, sup_bound_shuber
+from passglm.data import LibsvmStream, write_libsvm
 from passglm.errors import InvalidInputError, NumericError
 from passglm.mappings import (
     MAPPING_FACTORIES,
@@ -192,12 +193,43 @@ class TestLogLikelihood:
         assert value == pytest.approx(oracle(y, X, theta), abs=1e-12 * abs(value))
 
     def test_nonfinite_record_is_reported(self):
-        spec = mapping_gamma(1.0)
-        y = np.array([1.0, -3.0])  # negative outcome breaks log y
-        X = np.array([[0.1], [0.2]])
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
-            log_likelihood(spec, np.zeros(1), (y, X))
+        spec = mapping_poisson()
+        y = np.array([1.0, 2.0])
+        X = np.array([[0.1], [800.0]])  # exp(800) overflows
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+            log_likelihood(spec, np.ones(1), (y, X))
         assert err.value.record_index == 1
+        # a label outside the model's domain is rejected before any term
+        with pytest.raises(InvalidInputError, match="record 1"):
+            log_likelihood(mapping_gamma(1.0), np.zeros(1), (np.array([1.0, -3.0]), X))
+
+    @pytest.mark.parametrize("factory", [mapping_logit, mapping_probit])
+    def test_binary_label_spellings_agree(self, factory, tmp_path):
+        rng = np.random.default_rng(11)
+        y01, X, theta = model_instance(rng, "01", 4, 50)
+        spec = factory()
+        path_01, path_pm1 = tmp_path / "01.svm", tmp_path / "pm1.svm"
+        write_libsvm(path_01, y01, X)
+        write_libsvm(path_pm1, 2.0 * y01 - 1.0, X)
+
+        def readings(source):
+            return [f(spec, theta, source) for f in (log_likelihood, log_likelihood_grad, log_likelihood_hess)]
+
+        sources = [
+            ((y01, X), (2.0 * y01 - 1.0, X)),
+            (LibsvmStream(path_01, d=4), LibsvmStream(path_pm1, d=4)),
+        ]
+        for zero_one, plus_minus in sources:
+            for got, want in zip(readings(zero_one), readings(plus_minus)):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("factory", [mapping_logit, mapping_probit])
+    @pytest.mark.parametrize("reduction", [log_likelihood, log_likelihood_grad, log_likelihood_hess])
+    def test_label_outside_binary_domain_names_its_record(self, factory, reduction):
+        y = np.array([1.0, 0.0, 2.0, 1.0])
+        X = np.full((4, 2), 0.1)
+        with pytest.raises(InvalidInputError, match="record 2 has label 2"):
+            reduction(factory(), np.zeros(2), (y, X))
 
 
     @pytest.mark.parametrize("factory,label_kind", MODEL_CASES[:2])
