@@ -35,7 +35,7 @@ from .data import (
     synthesize,
     write_libsvm,
 )
-from .errors import PassGlmError
+from .errors import InvalidInputError, PassGlmError
 from .mappings import MAPPING_FACTORIES, _records, get_mapping
 from .metrics import compare_posteriors, inner_product_histogram, roc_auc, test_nll
 from .posterior import GaussianPosterior, PriorSpec, posterior_general, posterior_lr2
@@ -230,7 +230,10 @@ def cmd_project(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    theta = [float(v) for v in args.theta.split(",")] if "," in args.theta else float(args.theta)
+    try:
+        theta = [float(v) for v in args.theta.split(",")] if "," in args.theta else float(args.theta)
+    except ValueError:
+        raise InvalidInputError(f"--theta takes numbers separated by commas, got {args.theta!r}") from None
     synthesize(
         args.model, args.dim, args.n, seed=args.seed, theta_true=theta, path=args.out,
         scale=args.bscale,

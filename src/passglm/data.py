@@ -243,6 +243,8 @@ class LibsvmStream(RecordStream):
     """
 
     def __init__(self, path, d: int | None = None, labels: str = "raw", strict: bool = True):
+        if labels not in ("raw", "pm1", "01"):
+            raise InvalidInputError(f"labels must be 'raw', 'pm1' or '01', got {labels!r}")
         self.path = str(path)
         self.labels = labels
         self.strict = strict
@@ -524,6 +526,12 @@ class ProjectionSpec:
     seed: int
     input_dim: int
     output_dim: int
+
+    def __post_init__(self):
+        if self.input_dim < 1 or self.output_dim < 1:
+            raise InvalidInputError(
+                f"projection dimensions must be >= 1, got {self.input_dim} -> {self.output_dim}"
+            )
 
     @property
     def sparsity(self) -> float:

@@ -97,6 +97,13 @@ class Term:
     def __post_init__(self):
         if self.y_power not in (0, 1) or self.y_in_arg_power not in (0, 1):
             raise InvalidInputError("y exponents are restricted to {0, 1}")
+        try:
+            with np.errstate(all="ignore"):
+                self._probe()
+        except ArithmeticError as exc:  # e.g. a Python-float scale squared past the range
+            raise InvalidInputError(f"term function fails on the probe grid: {exc}") from None
+
+    def _probe(self) -> None:
         for f in (self.phi, self.dphi, self.d2phi):
             if not np.all(np.isfinite(f(_PROBE_GRID))):
                 raise InvalidInputError("term function is not finite on the probe grid")

@@ -58,8 +58,8 @@ class PriorSpec:
     @staticmethod
     def gaussian(variance: float | np.ndarray, mean: np.ndarray | float = 0.0) -> "PriorSpec":
         v = np.asarray(variance, dtype=float)
-        if np.any(v <= 0):
-            raise InvalidInputError("prior variance must be positive")
+        if not np.all(v > 0):
+            raise InvalidInputError(f"prior variance must be positive, got {variance}")
         return PriorSpec(kind="gaussian", mean=np.asarray(mean, dtype=float), variance=v)
 
     @staticmethod
@@ -72,7 +72,11 @@ class PriorSpec:
         if text == "flat":
             return PriorSpec.flat()
         if text.startswith("gaussian:"):
-            return PriorSpec.gaussian(float(text.split(":", 1)[1]))
+            try:
+                variance = float(text.split(":", 1)[1])
+            except ValueError:
+                raise InvalidInputError(f"cannot parse prior {text!r}: SIGMA2 is not a number") from None
+            return PriorSpec.gaussian(variance)
         raise InvalidInputError(f"cannot parse prior {text!r}")
 
     def mean_vector(self, d: int) -> np.ndarray:

@@ -417,14 +417,22 @@ class SuffStats:
         updates only the statistics of its own coordinates: the kernel runs
         on them alone and its entries are added at their global positions."""
         iset = self.index_set
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 0:
+            raise InvalidInputError(f"one record takes a scalar label, got shape {y.shape}")
         if not (isinstance(x, tuple) and len(x) == 2):
             dense = np.asarray(x, dtype=float)
             if dense.ndim != 1:
                 raise InvalidInputError("covariate must be a vector or (indices, values)")
             if dense.size != iset.d:
                 raise InvalidInputError(f"covariate has dimension {dense.size}, expected {iset.d}")
-            return self.accumulate_batch(np.asarray([y], dtype=float), dense[None, :])
+            return self.accumulate_batch(y[None], dense[None, :])
         idx = np.asarray(x[0], dtype=np.int64)
+        if idx.ndim != 1 or np.shape(x[1]) != idx.shape:
+            raise InvalidInputError(
+                f"sparse covariate needs 1-D indices and values of one length, "
+                f"got shapes {idx.shape} and {np.shape(x[1])}"
+            )
         if idx.size and (idx.min() < 0 or idx.max() >= iset.d):
             raise InvalidInputError(f"covariate index out of range for dimension {iset.d}")
         cols, inv = np.unique(idx, return_inverse=True)
@@ -434,7 +442,7 @@ class SuffStats:
         local[0, inv] = x[1]  # a repeated index keeps the value assigned last
         sub = _local_indices(cols.size, iset.M, len(iset))
         at = iset.position(np.where(sub.rows >= 0, cols[sub.rows], -1))
-        return self._absorb(np.asarray([y], dtype=float), local, sub, at)
+        return self._absorb(y[None], local, sub, at)
 
     def accumulate_batch(self, y: np.ndarray, X: np.ndarray) -> "SuffStats":
         """Absorb a batch of records ``y: (B,)``, ``X: (B, d)``.  ``X`` is a
@@ -444,7 +452,10 @@ class SuffStats:
             raise InvalidInputError(
                 f"covariate batch must be (B, {self.index_set.d}), got {X.shape}"
             )
-        return self._absorb(np.asarray(y, dtype=float), X, self.index_set, slice(None))
+        y = np.asarray(y, dtype=float)
+        if y.shape != (len(X),):
+            raise InvalidInputError(f"labels of shape {y.shape} do not match {len(X)} rows")
+        return self._absorb(y, X, self.index_set, slice(None))
 
     def _absorb(self, y: np.ndarray, X: np.ndarray, iset: MultiIndexSet, at) -> "SuffStats":
         """Add the statistics of ``iset`` over the records ``(y, X)`` at the
@@ -629,6 +640,9 @@ def deserialize(data: bytes, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
         raise StatsFormatError(f"unknown model id {model_id}")
     if M > MAX_DEGREE:
         raise StatsFormatError(f"degree {M} exceeds the supported maximum {MAX_DEGREE}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise StatsFormatError(f"radius must be finite and positive, got {radius!r}")
+    mapping = _header_mapping(name, scale)
     # check the header against the payload before building its index set;
     # the count stops once it passes the payload, so a hostile header is cheap
     payload = body[_HEADER.size :]
@@ -642,11 +656,29 @@ def deserialize(data: bytes, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
         raise StatsFormatError(
             f"payload holds {entries} entries, but d={d}, M={M} needs binomial(d + M, d)"
         )
-    mapping = get_mapping(name, scale if scale > 0 else None)
+    values = np.frombuffer(payload, dtype="<f8").astype(float)
+    if not np.all(np.isfinite(values)):
+        raise StatsFormatError(f"entry {int(np.argmin(np.isfinite(values)))} is not finite")
     stats = SuffStats(enumerate_indices(d, M, cap=cap), mapping, radius)
-    stats.t = np.frombuffer(payload, dtype="<f8").astype(float)
+    stats.t = values
     stats.n = int(n)
     return stats
+
+
+def _header_mapping(name: str, scale: float) -> MappingSpec:
+    """The mapping a header's model and scale name.  ``serialize`` writes a
+    scale of 0.0 for a model without one; any other model needs a finite
+    positive scale from which its mapping can be built."""
+    if MAPPING_FACTORIES[name]().scale is None:
+        if scale != 0.0:
+            raise StatsFormatError(f"{name} takes no scale, but the header holds {scale!r}")
+        return get_mapping(name)
+    if not (math.isfinite(scale) and scale > 0):
+        raise StatsFormatError(f"{name} scale must be finite and positive, got {scale!r}")
+    try:
+        return get_mapping(name, scale)
+    except InvalidInputError as exc:
+        raise StatsFormatError(f"{name} scale {scale!r} gives no usable mapping: {exc}") from None
 
 
 def save_stats(stats: SuffStats, path) -> None:

@@ -414,6 +414,35 @@ class TestProjectAndSynth:
                                        "--n", "5", "--out", "x.svm"])
 
 
+class TestUnusableOptions:
+    """An option value the command cannot use ends in exit code 2 and one
+    ``error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fit", "--stats", "{stats}", "--prior", "gaussian:abc"], "cannot parse prior"),
+            (["fit", "--stats", "{stats}", "--prior", "gaussian:nan"], "prior variance must be positive"),
+            (["synth", "--model", "logit", "--dim", 2, "--n", 5, "--theta", "1,x",
+              "--out", "{tmp}/s.svm"], "--theta takes numbers"),
+            (["project", "--input", "{data}", "--output", "{tmp}/p.svm", "--dim", 0],
+             "projection dimensions must be >= 1"),
+        ],
+        ids=["prior not a number", "prior nan", "theta not a number", "project to 0"],
+    )
+    def test_exits_2_with_an_error_line(self, dataset, tmp_path, capsys, argv, message):
+        path, _, _ = dataset
+        stats = tmp_path / "stats.pglm"
+        run("stats", "build", "--input", path, "--model", "logit", "--degree", 2,
+            "--radius", 4, "--dim", 3, "--out", stats)
+        capsys.readouterr()
+        fields = {"stats": stats, "tmp": tmp_path, "data": path}
+        assert run(*[str(a).format(**fields) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
 class TestSurrogateFitPath:
     def test_poisson_fit_emits_surrogate_json(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -56,6 +56,12 @@ class TestParseLibsvm:
         ys = [y for y, _ in stream.iter_records()]
         assert ys == [-1.0, 1.0]
 
+    def test_unknown_label_mode_is_refused(self, tmp_path):
+        path = tmp_path / "b.svm"
+        path.write_text("0 2:1\n1 1:1\n")
+        with pytest.raises(InvalidInputError, match="labels must be 'raw', 'pm1' or '01'"):
+            parse_libsvm(path, d=2, labels="bogus")
+
     def test_round_trip_through_write(self, tmp_path):
         rng = np.random.default_rng(0)
         n, d = 1000, 6
@@ -341,6 +347,11 @@ class TestWindowParser:
 
 
 class TestProjection:
+    @pytest.mark.parametrize("input_dim,output_dim", [(0, 5), (5, 0), (-1, 5)])
+    def test_dimension_below_one_is_refused(self, input_dim, output_dim):
+        with pytest.raises(InvalidInputError, match="projection dimensions must be >= 1"):
+            ProjectionSpec(seed=1, input_dim=input_dim, output_dim=output_dim)
+
     def test_zero_vector_maps_to_zero(self):
         spec = ProjectionSpec(seed=1, input_dim=100, output_dim=20)
         base = ArrayStream(np.array([1.0]), np.zeros((1, 100)))

@@ -61,6 +61,17 @@ def grid_moments(logpost, center, half_widths, n=400):
     return mean, cov
 
 
+class TestPriorSpec:
+    @pytest.mark.parametrize("text", ["gaussian:abc", "gaussian:", "gaussian:nan", "gaussian:-1", "laplace:1"])
+    def test_unusable_prior_text_is_refused(self, text):
+        with pytest.raises(InvalidInputError, match="prior"):
+            PriorSpec.parse(text)
+
+    def test_nan_variance_is_refused(self):
+        with pytest.raises(InvalidInputError, match="prior variance must be positive"):
+            PriorSpec.gaussian(np.array([1.0, np.nan]))
+
+
 class TestPosteriorLr2:
     def test_zero_data_returns_prior(self):
         stats = lr2_stats(np.empty(0), np.empty((0, 3)))

@@ -262,6 +262,32 @@ class TestAccumulate:
         assert stats.n == 4
         assert np.all(np.isfinite(stats.values()))
 
+    @pytest.mark.parametrize("model", ["logit", "poisson"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, X: s.accumulate_batch(np.array([1.0]), X),
+            lambda s, X: s.accumulate_batch(np.ones((5, 1)), X),
+            lambda s, X: s.accumulate_batch(np.ones(6), X),
+            lambda s, X: s.accumulate(np.ones(2), X[0]),
+            lambda s, X: s.accumulate(np.ones(2), (np.array([0, 2]), X[0, :2])),
+            lambda s, X: s.accumulate(1.0, (np.array([0, 2]), X[0])),
+            lambda s, X: s.accumulate(1.0, (np.array([[0, 2]]), X[0, :2])),
+        ],
+        ids=["one label", "column labels", "more labels", "vector label",
+             "vector label sparse", "more values", "2-D indices"],
+    )
+    def test_labels_that_do_not_match_the_rows_add_nothing(self, model, call):
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-0.4, 0.4, (5, 3))
+        stats = new_stats(enumerate_indices(3, 2), get_mapping(model), 2.0)
+        stats.accumulate_batch(np.ones(2), X[:2])
+        before = stats.values().copy()
+        with pytest.raises(InvalidInputError):
+            call(stats, X)
+        assert stats.n == 2
+        np.testing.assert_array_equal(stats.values(), before)
+
 
 class TestNormWarning:
     """The covariate-norm premise warning names the caller's line, whichever
@@ -744,6 +770,74 @@ class TestSerialization:
         assert back.same_config(stats)
         merged = merge(stats, back)  # merging with itself must be allowed
         assert merged.n == 2 * stats.n
+
+
+def hostile_file(model, scale, field, value):
+    """A valid d = 2, M = 2 file of ``model`` with one header field, or entry
+    ``3``, replaced and the checksum recomputed over the altered body."""
+    stats = new_stats(enumerate_indices(2, 2), get_mapping(model, scale), 2.0)
+    stats.accumulate_batch(np.ones(2), np.array([[0.1, 0.2], [0.3, -0.1]]))
+    raw = bytearray(serialize(stats)[:-4])
+    offset = {"scale": 8, "radius": 26, "entry": suffstats._HEADER.size + 3 * 8}[field]
+    struct.pack_into("<d", raw, offset, value)
+    return bytes(raw) + struct.pack("<I", crc32c(bytes(raw)))
+
+
+# (model, scale, field, value, message) of files that must not load
+HOSTILE_HEADERS = [
+    ("logit", None, "radius", math.nan, "radius"),
+    ("logit", None, "radius", 0.0, "radius"),
+    ("poisson", None, "radius", -1.0, "radius"),
+    ("shuber", 1.5, "radius", math.inf, "radius"),
+    ("shuber", 1.5, "scale", -1.0, "scale"),
+    ("shuber", 1.5, "scale", math.nan, "scale"),
+    ("shuber", 1.5, "scale", 0.0, "scale"),
+    ("shuber", 1.5, "scale", math.inf, "scale"),
+    ("shuber", 1.5, "scale", 1e300, "scale"),
+    ("cauchy", 1.5, "scale", 1e-300, "scale"),
+    ("gamma", 1.5, "scale", 0.0, "scale"),
+    ("logit", None, "scale", 1.0, "takes no scale"),
+    ("poisson", None, "scale", math.nan, "takes no scale"),
+    ("logit", None, "entry", math.inf, "entry 3"),
+    ("poisson", None, "entry", math.nan, "entry 3"),
+    ("shuber", 1.5, "entry", -math.inf, "entry 3"),
+]
+
+
+class TestHostileFiles:
+    @pytest.mark.parametrize("model,scale,field,value,message", HOSTILE_HEADERS)
+    def test_hostile_header_is_a_format_error(self, model, scale, field, value, message):
+        with pytest.raises(StatsFormatError, match=message):
+            deserialize(hostile_file(model, scale, field, value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=st.sampled_from([("logit", None), ("poisson", None), ("shuber", 1.5)]),
+        bytes_at=st.lists(st.tuples(st.integers(0, 89), st.integers(0, 255)), max_size=4),
+        floats_at=st.lists(
+            st.tuples(st.sampled_from([8, 26] + [42 + 8 * i for i in range(6)]), st.floats()),
+            max_size=2,
+        ),
+    )
+    def test_mutated_file_loads_as_written_or_is_refused(self, model, bytes_at, floats_at):
+        stats = new_stats(enumerate_indices(2, 2), get_mapping(*model), 2.0)
+        stats.accumulate_batch(np.ones(2), np.array([[0.1, 0.2], [0.3, -0.1]]))
+        body = bytearray(serialize(stats)[:-4])
+        assert len(body) == 90
+        for at, value in floats_at:
+            struct.pack_into("<d", body, at, value)
+        for at, value in bytes_at:
+            body[at] = value
+        try:
+            back = deserialize(bytes(body) + struct.pack("<I", crc32c(bytes(body))))
+        except (StatsFormatError, CapacityError):
+            return
+        _, _, model_id, scale, d, M, radius, n = suffstats._HEADER.unpack_from(body)
+        header = (back.mapping.model_id, back.mapping.scale or 0.0, back.index_set.d,
+                  back.index_set.M, back.radius, back.n)
+        assert header == (model_id, scale, d, M, radius, n)
+        # == rather than bit equality: values() turns a -0.0 entry into +0.0
+        assert np.all(back.values() == np.frombuffer(body, "<f8", offset=suffstats._HEADER.size))
 
 
 def fixture_records(model, d):
