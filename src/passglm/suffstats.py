@@ -669,10 +669,11 @@ def _header_mapping(name: str, scale: float) -> MappingSpec:
     """The mapping a header's model and scale name.  ``serialize`` writes a
     scale of 0.0 for a model without one; any other model needs a finite
     positive scale from which its mapping can be built."""
-    if MAPPING_FACTORIES[name]().scale is None:
+    default = MAPPING_FACTORIES[name]()
+    if default.scale is None:
         if scale != 0.0:
             raise StatsFormatError(f"{name} takes no scale, but the header holds {scale!r}")
-        return get_mapping(name)
+        return default
     if not (math.isfinite(scale) and scale > 0):
         raise StatsFormatError(f"{name} scale must be finite and positive, got {scale!r}")
     try:
