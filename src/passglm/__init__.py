@@ -40,7 +40,6 @@ from .mappings import (
 from .suffstats import (
     MultiIndexSet,
     SuffStats,
-    accumulate,
     deserialize,
     enumerate_indices,
     load_stats,

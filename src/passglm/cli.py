@@ -345,7 +345,7 @@ def main(argv=None) -> int:
         args.seed = args.default_seed
     try:
         return args.func(args)
-    except PassGlmError as exc:
+    except (PassGlmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,9 @@
 """Record streams, libsvm parsing, sparse random projection, shard orchestration.
 
-A :class:`RecordStream` yields ``(y, x)`` observations exactly once per pass
-and counts its passes, which is how the single-pass contract of the
-statistics builder is audited.  Streams also expose batches for the
-vectorized accumulation path, dense arrays or, from a sparse libsvm file,
-CSR matrices.
+A :class:`RecordStream` yields its ``(y, X)`` observations in batches,
+exactly once per pass, and counts its passes, which is how the single-pass
+contract of the statistics builder is audited.  A batch is a dense array or,
+from a sparse libsvm file, a CSR matrix.
 """
 
 from __future__ import annotations
@@ -48,8 +47,9 @@ class RecordStream:
 
     Subclasses implement ``_iter_batches`` yielding ``(y, X)`` chunks, where
     ``X`` is a dense ``(rows, d)`` array or a ``scipy.sparse`` CSR matrix of
-    that shape.  ``iter_records`` and ``materialize`` densify CSR batches, as
-    the exact-likelihood reductions and ``SuffStats.accumulate_batch`` do.
+    that shape.  ``materialize`` densifies CSR batches, as the
+    exact-likelihood reductions and ``SuffStats.accumulate_batch`` do.  A
+    single record is a one-row batch.
     ``passes`` increments every time a fresh iteration starts.
     """
 
@@ -62,15 +62,6 @@ class RecordStream:
     def batches(self, batch_size: int = DEFAULT_BATCH):
         self.passes += 1
         yield from self._iter_batches(batch_size)
-
-    def iter_records(self):
-        """Yield ``(y, (indices, values))`` one record at a time."""
-        for y, X in self.batches():
-            X = _dense(X)
-            for i in range(len(y)):
-                row = np.asarray(X[i]).ravel()
-                idx = np.flatnonzero(row)
-                yield float(y[i]), (idx, row[idx])
 
     def materialize(self):
         ys, xs = [], []
@@ -342,13 +333,6 @@ class LibsvmStream(RecordStream):
         if batch.filled:
             yield batch.finish()
 
-    def iter_records(self):
-        self.passes += 1
-        for y, indptr, idx, vals in self._windows(limit=self.d):
-            for i in range(len(y)):
-                lo, hi = indptr[i], indptr[i + 1]
-                yield float(y[i]), (idx[lo:hi], vals[lo:hi])
-
 
 class _LibsvmBatch:
     """A batch of at most ``rows`` records being filled from parse windows.
@@ -449,11 +433,25 @@ def _ball_covariates(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return z * radii[:, None]
 
 
+def _true_theta(theta_true, d: int, n: int) -> np.ndarray:
+    """``theta_true`` as a length-``d`` view, one value broadcast, after
+    checking that it is finite, that it holds 1 or ``d`` values and that
+    ``d >= 1`` and ``n >= 0``."""
+    if d < 1 or n < 0:
+        raise InvalidInputError(f"synthetic data needs d >= 1 and n >= 0, got d={d}, n={n}")
+    theta = np.asarray(theta_true, dtype=float)
+    if theta.ndim > 1 or theta.size not in (1, d):
+        raise InvalidInputError(f"theta takes 1 or d={d} values, got {theta.size} in shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise InvalidInputError(f"theta must be finite, got {theta.tolist()}")
+    return np.broadcast_to(theta, (d,))
+
+
 def synthesize_arrays(model: str, d: int, n: int, seed: int, theta_true, scale: float | None = None):
     """Generate ``(y, X)`` from the named model with covariates uniform in the
     unit ball."""
     sample = get_mapping(model, scale).sample
-    theta_true = np.broadcast_to(np.asarray(theta_true, dtype=float), (d,))
+    theta_true = _true_theta(theta_true, d, n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     X = _ball_covariates(rng, n, d)
     return sample(rng, X @ theta_true), X
@@ -469,7 +467,7 @@ class SyntheticStream(RecordStream):
         self.n = n
         self.seed = seed
         self.scale = scale
-        self.theta_true = np.broadcast_to(np.asarray(theta_true, dtype=float), (d,)).copy()
+        self.theta_true = _true_theta(theta_true, d, n).copy()
         self.passes = 0
         self._sample = get_mapping(model, scale).sample
 
@@ -490,6 +488,7 @@ class SyntheticStream(RecordStream):
 
 def synthesize(model: str, d: int, n: int, seed: int, theta_true, path, scale: float | None = None) -> dict:
     """Write a synthetic libsvm file plus a JSON manifest recording the truth."""
+    theta_true = _true_theta(theta_true, d, n)
     y, X = synthesize_arrays(model, d, n, seed, theta_true, scale=scale)
     write_libsvm(path, y, X)
     manifest = {
@@ -499,7 +498,7 @@ def synthesize(model: str, d: int, n: int, seed: int, theta_true, path, scale: f
         "n": n,
         "seed": seed,
         "scale": scale,
-        "theta_true": list(np.broadcast_to(np.asarray(theta_true, dtype=float), (d,))),
+        "theta_true": theta_true.tolist(),
         "path": str(path),
     }
     with open(str(path) + ".manifest.json", "w") as fh:
@@ -610,13 +609,6 @@ class ProjectedStream(RecordStream):
             self._matrix = self._matrix + self.spec._rows(new)
             self._drawn[new] = True
         return (A @ self._matrix).toarray()
-
-    def project_record(self, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        idx = self.spec._input_rows(idx)
-        row = sp.csr_matrix(
-            (np.asarray(vals, dtype=float), idx, [0, idx.size]), shape=(1, self.spec.input_dim)
-        )
-        return self._product(row)[0]
 
     def _iter_batches(self, batch_size: int):
         for y, X in self.base._iter_batches(batch_size):

@@ -70,7 +70,6 @@ __all__ = [
     "SuffStats",
     "enumerate_indices",
     "new_stats",
-    "accumulate",
     "merge",
     "serialize",
     "deserialize",
@@ -272,11 +271,6 @@ def enumerate_indices(d: int, M: int, cap: int = DEFAULT_INDEX_CAP) -> MultiInde
     return MultiIndexSet(d, M, rows)
 
 
-# the index sets of sparse records' own coordinates, shared by records with
-# as many distinct coordinates; each is no larger than the set they map into
-_local_indices = lru_cache(maxsize=16)(enumerate_indices)
-
-
 def _caller_level() -> int:
     """The ``stacklevel``, for a warning its caller raises, of the first frame outside the package."""
     package = os.path.dirname(__file__) + os.sep
@@ -286,14 +280,14 @@ def _caller_level() -> int:
     return level
 
 
-def _kahan_add(t: np.ndarray, comp: np.ndarray, delta: np.ndarray, at=slice(None)) -> None:
-    """Compensated ``t[at] += delta``, overwriting ``delta``."""
-    delta -= comp[at]
-    s = t[at] + delta
-    err = s - t[at]
+def _kahan_add(t: np.ndarray, comp: np.ndarray, delta: np.ndarray) -> None:
+    """Compensated ``t += delta``, overwriting ``delta``."""
+    delta -= comp
+    s = t + delta
+    err = s - t
     err -= delta
-    comp[at] = err
-    t[at] = s
+    comp[:] = err
+    t[:] = s
 
 
 def _monomial_space(iset: MultiIndexSet, records: int) -> list:
@@ -350,7 +344,7 @@ def _delta(iset: MultiIndexSet, base: np.ndarray, G: np.ndarray | None, space=No
 class SuffStats:
     """Accumulated polynomial sufficient statistics for one mapping.
 
-    Single-writer: ``accumulate``/``accumulate_batch`` mutate in place.
+    Single-writer: ``accumulate_batch`` mutates in place.
     ``merge`` combines two compatible accumulators into a new one.
     """
 
@@ -411,59 +405,23 @@ class SuffStats:
                 stacklevel=_caller_level(),
             )
 
-    def accumulate(self, y: float, x) -> "SuffStats":
-        """Absorb one record.  ``x`` is a dense 1-D array or an
-        ``(indices, values)`` pair of sparse coordinates.  A sparse record
-        updates only the statistics of its own coordinates: the kernel runs
-        on them alone and its entries are added at their global positions."""
-        iset = self.index_set
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 0:
-            raise InvalidInputError(f"one record takes a scalar label, got shape {y.shape}")
-        if not (isinstance(x, tuple) and len(x) == 2):
-            dense = np.asarray(x, dtype=float)
-            if dense.ndim != 1:
-                raise InvalidInputError("covariate must be a vector or (indices, values)")
-            if dense.size != iset.d:
-                raise InvalidInputError(f"covariate has dimension {dense.size}, expected {iset.d}")
-            return self.accumulate_batch(y[None], dense[None, :])
-        idx = np.asarray(x[0], dtype=np.int64)
-        if idx.ndim != 1 or np.shape(x[1]) != idx.shape:
-            raise InvalidInputError(
-                f"sparse covariate needs 1-D indices and values of one length, "
-                f"got shapes {idx.shape} and {np.shape(x[1])}"
-            )
-        if idx.size and (idx.min() < 0 or idx.max() >= iset.d):
-            raise InvalidInputError(f"covariate index out of range for dimension {iset.d}")
-        cols, inv = np.unique(idx, return_inverse=True)
-        if not cols.size:  # an empty record still adds to the constant's entry
-            cols = np.zeros(1, dtype=np.int64)
-        local = np.zeros((1, cols.size))
-        local[0, inv] = x[1]  # a repeated index keeps the value assigned last
-        sub = _local_indices(cols.size, iset.M, len(iset))
-        at = iset.position(np.where(sub.rows >= 0, cols[sub.rows], -1))
-        return self._absorb(y[None], local, sub, at)
-
     def accumulate_batch(self, y: np.ndarray, X: np.ndarray) -> "SuffStats":
-        """Absorb a batch of records ``y: (B,)``, ``X: (B, d)``.  ``X`` is a
-        dense array or a ``scipy.sparse`` matrix, which is densified first."""
+        """Absorb a batch of records ``y: (B,)``, ``X: (B, d)``; one record is
+        a one-row batch.  ``X`` is a dense array or a ``scipy.sparse`` matrix,
+        which is densified first.
+
+        The records are folded one block at a time.  With ``M >= 3`` a
+        block's monomials (``MultiIndexSet.held``) fill ``_BLOCK_BYTES``, or
+        as much as the block's statistics where that is more: each block also
+        scatters, scales and adds every entry, work that fewer records would
+        not amortize."""
+        iset = self.index_set
         X = np.asarray(_dense(X), dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.index_set.d:
-            raise InvalidInputError(
-                f"covariate batch must be (B, {self.index_set.d}), got {X.shape}"
-            )
+        if X.ndim != 2 or X.shape[1] != iset.d:
+            raise InvalidInputError(f"covariate batch must be (B, {iset.d}), got {X.shape}")
         y = np.asarray(y, dtype=float)
         if y.shape != (len(X),):
             raise InvalidInputError(f"labels of shape {y.shape} do not match {len(X)} rows")
-        return self._absorb(y, X, self.index_set, slice(None))
-
-    def _absorb(self, y: np.ndarray, X: np.ndarray, iset: MultiIndexSet, at) -> "SuffStats":
-        """Add the statistics of ``iset`` over the records ``(y, X)`` at the
-        entries ``at`` of this accumulator, one block of records at a time.
-        With ``M >= 3`` a block's monomials (``MultiIndexSet.held``) fill
-        ``_BLOCK_BYTES``, or as much as the block's statistics where that is
-        more: each block also scatters, scales and adds every entry, work
-        that fewer records would not amortize."""
         if not np.all(np.isfinite(X)):
             bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
             raise NumericError("non-finite covariate value", record_index=self.n + bad)
@@ -476,7 +434,7 @@ class SuffStats:
         space = _monomial_space(iset, min(step, len(y))) if iset.M >= 3 else None
         for lo in range(0, len(y), step):
             sub = None if G is None else G[lo : lo + step]
-            _kahan_add(self.t, self.comp, _delta(iset, base[lo : lo + step], sub, space), at)
+            _kahan_add(self.t, self.comp, _delta(iset, base[lo : lo + step], sub, space))
         self.n += len(y)
         return self
 
@@ -501,10 +459,6 @@ def new_stats(index_set: MultiIndexSet, mapping: MappingSpec, radius: float) -> 
     its own terms (``SuffStats.approxes``), which every fit of non-logistic
     statistics uses."""
     return SuffStats(index_set, mapping, radius)
-
-
-def accumulate(stats: SuffStats, y, x) -> SuffStats:
-    return stats.accumulate(y, x)
 
 
 def merge(a: SuffStats, b: SuffStats) -> SuffStats:

@@ -415,8 +415,9 @@ class TestProjectAndSynth:
 
 
 class TestUnusableOptions:
-    """An option value the command cannot use ends in exit code 2 and one
-    ``error:`` line, not a traceback."""
+    """An option value the command cannot use, or an input file that does
+    not exist, ends in exit code 2 and one ``error:`` line, not a traceback,
+    and writes no output."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -424,23 +425,48 @@ class TestUnusableOptions:
             (["fit", "--stats", "{stats}", "--prior", "gaussian:abc"], "cannot parse prior"),
             (["fit", "--stats", "{stats}", "--prior", "gaussian:nan"], "prior variance must be positive"),
             (["synth", "--model", "logit", "--dim", 2, "--n", 5, "--theta", "1,x",
-              "--out", "{tmp}/s.svm"], "--theta takes numbers"),
-            (["project", "--input", "{data}", "--output", "{tmp}/p.svm", "--dim", 0],
+              "--out", "{tmp}/out.svm"], "--theta takes numbers"),
+            (["synth", "--model", "logit", "--dim", 2, "--n", 5, "--theta", "nan",
+              "--out", "{tmp}/out.svm"], "theta must be finite"),
+            (["synth", "--model", "logit", "--dim", 2, "--n", 5, "--theta", "0.5,inf",
+              "--out", "{tmp}/out.svm"], "theta must be finite"),
+            (["synth", "--model", "logit", "--dim", 3, "--n", 5, "--theta", "1,2",
+              "--out", "{tmp}/out.svm"], "theta takes 1 or d=3 values, got 2"),
+            (["synth", "--model", "logit", "--dim", 2, "--n", -1, "--out", "{tmp}/out.svm"],
+             "n >= 0"),
+            (["synth", "--model", "logit", "--dim", 0, "--n", 5, "--out", "{tmp}/out.svm"],
+             "d >= 1"),
+            (["project", "--input", "{data}", "--output", "{tmp}/out.svm", "--dim", 0],
              "projection dimensions must be >= 1"),
+            (["fit", "--stats", "{missing}", "--prior", "flat", "--out", "{tmp}/out.json"],
+             "No such file or directory: '{missing}'"),
+            (["stats", "build", "--input", "{missing}", "--model", "logit", "--degree", 2,
+              "--radius", 4, "--out", "{tmp}/out.pglm"], "No such file or directory: '{missing}'"),
+            (["stats", "merge", "{missing}", "--out", "{tmp}/out.pglm"],
+             "No such file or directory: '{missing}'"),
+            (["project", "--input", "{missing}", "--output", "{tmp}/out.svm", "--dim", 2],
+             "No such file or directory: '{missing}'"),
+            (["eval", "--posterior", "{post}", "--reference", "{post}", "--test", "{missing}",
+              "--out", "{tmp}/out.json"], "No such file or directory: '{missing}'"),
         ],
-        ids=["prior not a number", "prior nan", "theta not a number", "project to 0"],
+        ids=["prior not a number", "prior nan", "theta not a number", "theta nan", "theta inf",
+             "theta length", "negative n", "synth to 0", "project to 0", "fit missing",
+             "stats build missing", "stats merge missing", "project missing", "eval missing"],
     )
     def test_exits_2_with_an_error_line(self, dataset, tmp_path, capsys, argv, message):
         path, _, _ = dataset
-        stats = tmp_path / "stats.pglm"
+        stats, post = tmp_path / "stats.pglm", tmp_path / "post.json"
         run("stats", "build", "--input", path, "--model", "logit", "--degree", 2,
             "--radius", 4, "--dim", 3, "--out", stats)
+        run("fit", "--stats", stats, "--prior", "gaussian:4", "--out", post)
         capsys.readouterr()
-        fields = {"stats": stats, "tmp": tmp_path, "data": path}
+        fields = {"stats": stats, "tmp": tmp_path, "data": path, "post": post,
+                  "missing": tmp_path / "nowhere" / "in.dat"}
         assert run(*[str(a).format(**fields) for a in argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
+        assert err.startswith("error: ") and message.format(**fields) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.glob("out.*"))
 
 
 class TestSurrogateFitPath:

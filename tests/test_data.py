@@ -41,20 +41,15 @@ class TestParseLibsvm:
     def test_basic_line(self, tmp_path):
         path = tmp_path / "a.svm"
         path.write_text("+1 1:0.5 3:2.0\n")
-        stream = parse_libsvm(path, d=3)
-        records = list(stream.iter_records())
-        assert len(records) == 1
-        y, (idx, vals) = records[0]
-        assert y == 1.0
-        np.testing.assert_array_equal(idx, [0, 2])
-        np.testing.assert_array_equal(vals, [0.5, 2.0])
+        y, X = parse_libsvm(path, d=3).materialize()
+        np.testing.assert_array_equal(y, [1.0])
+        np.testing.assert_array_equal(X, [[0.5, 0.0, 2.0]])
 
     def test_binary_label_remap(self, tmp_path):
         path = tmp_path / "b.svm"
         path.write_text("0 2:1\n1 1:1\n")
-        stream = parse_libsvm(path, d=2, labels="pm1")
-        ys = [y for y, _ in stream.iter_records()]
-        assert ys == [-1.0, 1.0]
+        y, _ = parse_libsvm(path, d=2, labels="pm1").materialize()
+        assert y.tolist() == [-1.0, 1.0]
 
     def test_unknown_label_mode_is_refused(self, tmp_path):
         path = tmp_path / "b.svm"
@@ -115,21 +110,22 @@ class TestParseLibsvm:
         path.write_text("+1 1:0.5\n+1 oops\n")
         stream = parse_libsvm(path, d=2, strict=True)
         with pytest.raises(InvalidInputError, match=":2"):
-            list(stream.iter_records())
+            stream.materialize()
 
     def test_malformed_line_lenient_counts_skips(self, tmp_path):
         path = tmp_path / "e.svm"
         path.write_text("+1 1:0.5\n+1 oops\n-1 2:1.0\n")
         stream = parse_libsvm(path, d=2, strict=False)
-        records = list(stream.iter_records())
-        assert len(records) == 2
+        y, X = stream.materialize()
+        np.testing.assert_array_equal(y, [1.0, -1.0])
+        np.testing.assert_array_equal(X, [[0.5, 0.0], [0.0, 1.0]])
         assert stream.skipped == 1
 
     def test_nonincreasing_indices_rejected(self, tmp_path):
         path = tmp_path / "f.svm"
         path.write_text("+1 3:1.0 2:1.0\n")
         with pytest.raises(InvalidInputError, match="increasing"):
-            list(parse_libsvm(path, d=3).iter_records())
+            parse_libsvm(path, d=3).materialize()
 
     def test_dimension_inference_counts_a_pass(self, tmp_path):
         path = tmp_path / "g.svm"
@@ -144,7 +140,7 @@ class TestParseLibsvm:
         with pytest.raises(InvalidInputError, match="index 4 exceeds declared dimension 3"):
             parse_libsvm(path, d=3).materialize()
         with pytest.raises(InvalidInputError, match="index 4 exceeds declared dimension 3"):
-            list(parse_libsvm(path, d=3).iter_records())
+            list(parse_libsvm(path, d=3).batches(batch_size=1))
 
 
 def line_oracle(stream):
@@ -167,6 +163,16 @@ def line_oracle(stream):
                     return records, f"{stream.path}:{lineno}: malformed record: {exc}", 0
                 skipped += 1
     return records, None, skipped
+
+
+def window_records(stream):
+    """``(y, idx, vals)`` of each record that ``stream``'s window reader
+    gives, its windows split by their ``indptr``; unlike a batch, this reads
+    indices at any declared dimension."""
+    for y, indptr, idx, vals in stream._windows(limit=stream.d):
+        for i in range(len(y)):
+            lo, hi = indptr[i], indptr[i + 1]
+            yield y[i], idx[lo:hi], vals[lo:hi]
 
 
 def bits(a):
@@ -249,13 +255,13 @@ class TestWindowParser:
         want, error, skipped = line_oracle(stream)
         if error is not None:
             with pytest.raises(InvalidInputError) as info:
-                list(stream.iter_records())
+                list(window_records(stream))
             assert str(info.value) == error
             return
-        got = list(stream.iter_records())
+        got = list(window_records(stream))
         assert stream.skipped == skipped
         assert len(got) == len(want)
-        for (y, (idx, vals)), (wy, widx, wvals) in zip(got, want):
+        for (y, idx, vals), (wy, widx, wvals) in zip(got, want):
             assert bits(y) == bits(wy)
             np.testing.assert_array_equal(idx, widx)
             np.testing.assert_array_equal(bits(vals), bits(wvals))
@@ -296,13 +302,13 @@ class TestWindowParser:
             np.testing.assert_array_equal(bits(vals), bits(np.concatenate([w[2] for w in want])))
         if error is not None:
             with pytest.raises(InvalidInputError) as info:
-                list(stream.iter_records())
+                list(window_records(stream))
             assert str(info.value) == error
             return
-        got = list(stream.iter_records())
+        got = list(window_records(stream))
         assert stream.skipped == skipped
         assert len(got) == len(want)
-        for (y, (idx, vals)), (wy, widx, wvals) in zip(got, want):
+        for (y, idx, vals), (wy, widx, wvals) in zip(got, want):
             assert bits(y) == bits(wy)
             np.testing.assert_array_equal(idx, widx)
             np.testing.assert_array_equal(bits(vals), bits(wvals))
@@ -384,18 +390,11 @@ class TestProjection:
         rng = np.random.default_rng(5)
         D, k = 200, 50
         spec = ProjectionSpec(seed=6, input_dim=D, output_dim=k)
-        stream = project(ArrayStream(np.ones(1), np.zeros((1, D))), spec)
         x1 = np.where(rng.random(D) < 0.1, rng.normal(0, 1, D), 0.0)
         x2 = np.where(rng.random(D) < 0.1, rng.normal(0, 1, D), 0.0)
         a, b = 2.5, -1.25
-
-        def apply(v):
-            nz = np.flatnonzero(v)
-            return stream.project_record(nz, v[nz])
-
-        lhs = apply(a * x1 + b * x2)
-        rhs = a * apply(x1) + b * apply(x2)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        _, P = project(ArrayStream(np.ones(3), np.array([x1, x2, a * x1 + b * x2])), spec).materialize()
+        np.testing.assert_allclose(P[2], a * P[0] + b * P[1], atol=1e-12)
 
     def test_columns_are_the_seeded_philox_draws(self):
         # each column is Philox(key=[seed, j]) from its start, thresholded
@@ -451,9 +450,8 @@ class TestProjection:
         spec = ProjectionSpec(seed=7, input_dim=10, output_dim=5)
         with pytest.raises(InvalidInputError, match="dimension"):
             spec.column(10)
-        stream = project(ArrayStream(np.ones(1), np.zeros((1, 10))), spec)
-        with pytest.raises(InvalidInputError, match="dimension"):
-            stream.project_record(np.array([3, 10]), np.array([1.0, 1.0]))
+        with pytest.raises(InvalidInputError, match="smaller than the stream dimension 11"):
+            project(ArrayStream(np.ones(1), np.zeros((1, 11))), spec)
 
     def test_expected_entry_distribution(self):
         spec = ProjectionSpec(seed=8, input_dim=10_000, output_dim=2000)
@@ -583,6 +581,29 @@ class TestSynthesize:
         stream = parse_libsvm(path, d=3, labels="pm1")
         y, X = stream.materialize()
         assert len(y) == 100
+
+    @pytest.mark.parametrize(
+        "d,n,theta,message",
+        [
+            (3, 5, np.nan, "finite"),
+            (3, 5, [0.5, -np.inf, 0.5], "finite"),
+            (3, 5, [1.0, 2.0], "got 2 in"),
+            (3, 5, [[0.5]], r"shape \(1, 1\)"),
+            (3, -1, 0.5, "n >= 0"),
+            (0, 5, 0.5, "d >= 1"),
+        ],
+        ids=["nan", "inf", "length", "matrix", "negative n", "zero d"],
+    )
+    def test_unusable_arguments_are_refused(self, tmp_path, d, n, theta, message):
+        path = tmp_path / "synth.svm"
+        for call in (
+            lambda: synthesize_arrays("logit", d, n, seed=0, theta_true=theta),
+            lambda: SyntheticStream("logit", d, n, seed=0, theta_true=theta),
+            lambda: synthesize("logit", d, n, seed=0, theta_true=theta, path=path),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                call()
+        assert not list(tmp_path.iterdir())
 
     def test_smoothed_huber_noise_density(self):
         # rejection sampler must produce the unnormalized density
@@ -1059,7 +1080,7 @@ class TestSparseBatches:
 
         def readings():
             y, X = stream.materialize()
-            shards = [list(stream.shard(i, 3).iter_records()) for i in range(3)]
+            shards = [stream.shard(i, 3).materialize() for i in range(3)]
             hess = log_likelihood_hess(mapping_logit(), theta, stream)
             post = laplace(mapping_logit(), PriorSpec.parse("gaussian:4"), stream)
             return y, X, shards, hess, post.mean, post.chol
@@ -1070,11 +1091,8 @@ class TestSparseBatches:
         for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
             np.testing.assert_array_equal(bits(a), bits(b))
         for shard, want_shard in zip(got[2], want[2]):
-            assert len(shard) == len(want_shard)
-            for (y, (idx, vals)), (wy, (widx, wvals)) in zip(shard, want_shard):
-                assert bits(y) == bits(wy)
-                np.testing.assert_array_equal(idx, widx)
-                np.testing.assert_array_equal(bits(vals), bits(wvals))
+            for a, b in zip(shard, want_shard):
+                np.testing.assert_array_equal(bits(a), bits(b))
 
     def test_command_line_outputs_equal_the_dense_outputs(self, wide_file, tmp_path):
         from passglm.cli import main

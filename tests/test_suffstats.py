@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +157,7 @@ class TestAccumulate:
         iset = enumerate_indices(2, 2)
         stats = new_stats(iset, mapping_logit(), 4.0)
         with pytest.warns(UserWarning, match="norm"):
-            stats.accumulate(1.0, np.array([1.0, 2.0]))
+            stats.accumulate_batch(np.array([1.0]), np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(stats.values(), [1, 1, 2, 1, 2, 4])
         assert stats.n == 1
 
@@ -164,7 +165,7 @@ class TestAccumulate:
         iset = enumerate_indices(2, 2)
         stats = new_stats(iset, mapping_logit(), 4.0)
         with pytest.warns(UserWarning, match="norm"):
-            stats.accumulate(-1.0, np.array([1.0, 2.0]))
+            stats.accumulate_batch(np.array([-1.0]), np.array([[1.0, 2.0]]))
         vals = stats.values()
         assert vals[iset.position([0, -1])] == -1.0
         assert vals[iset.position([0, 0])] == 1.0
@@ -173,8 +174,8 @@ class TestAccumulate:
         iset = enumerate_indices(4, 2)
         a = new_stats(iset, mapping_logit(), 4.0)
         b = new_stats(iset, mapping_logit(), 4.0)
-        a.accumulate(1.0, np.array([0.0, 0.3, 0.0, -0.4]))
-        b.accumulate(1.0, (np.array([1, 3]), np.array([0.3, -0.4])))
+        a.accumulate_batch(np.array([1.0]), np.array([[0.0, 0.3, 0.0, -0.4]]))
+        b.accumulate_batch(np.array([1.0]), sp.csr_matrix(([0.3, -0.4], [1, 3], [0, 2]), shape=(1, 4)))
         np.testing.assert_array_equal(a.values(), b.values())
 
     @pytest.mark.parametrize("M", [1, 2, 4])
@@ -200,7 +201,7 @@ class TestAccumulate:
         a.accumulate_batch(y, X)
         b = new_stats(iset, mapping_logit(), 4.0)
         for i in range(n):
-            b.accumulate(y[i], X[i])
+            b.accumulate_batch(y[i : i + 1], X[i : i + 1])
         np.testing.assert_allclose(a.values(), b.values(), rtol=1e-13, atol=1e-15)
 
     def test_general_form_batch_equals_per_record(self):
@@ -214,7 +215,7 @@ class TestAccumulate:
         a.accumulate_batch(y, X)
         b = new_stats(iset, spec, 2.0)
         for i in range(n):
-            b.accumulate(y[i], X[i])
+            b.accumulate_batch(y[i : i + 1], X[i : i + 1])
         np.testing.assert_allclose(a.values(), b.values(), rtol=1e-12, atol=1e-14)
 
     def test_t0_counts_records_for_logistic(self):
@@ -231,15 +232,15 @@ class TestAccumulate:
         iset = enumerate_indices(3, 2)
         stats = new_stats(iset, mapping_logit(), 4.0)
         with pytest.raises(InvalidInputError):
-            stats.accumulate(1.0, np.array([1.0, 2.0]))
+            stats.accumulate_batch(np.array([1.0]), np.array([[1.0, 2.0]]))
         with pytest.raises(InvalidInputError):
-            stats.accumulate(1.0, (np.array([5]), np.array([1.0])))
+            stats.accumulate_batch(np.array([1.0]), sp.csr_matrix(([1.0], [5], [0, 1]), shape=(1, 6)))
 
     def test_nonfinite_covariate(self):
         iset = enumerate_indices(2, 2)
         stats = new_stats(iset, mapping_logit(), 4.0)
         with pytest.raises(Exception, match="non-finite"):
-            stats.accumulate(1.0, np.array([np.nan, 0.0]))
+            stats.accumulate_batch(np.array([1.0]), np.array([[np.nan, 0.0]]))
 
     @pytest.mark.parametrize(
         "model,label,error",
@@ -269,13 +270,8 @@ class TestAccumulate:
             lambda s, X: s.accumulate_batch(np.array([1.0]), X),
             lambda s, X: s.accumulate_batch(np.ones((5, 1)), X),
             lambda s, X: s.accumulate_batch(np.ones(6), X),
-            lambda s, X: s.accumulate(np.ones(2), X[0]),
-            lambda s, X: s.accumulate(np.ones(2), (np.array([0, 2]), X[0, :2])),
-            lambda s, X: s.accumulate(1.0, (np.array([0, 2]), X[0])),
-            lambda s, X: s.accumulate(1.0, (np.array([[0, 2]]), X[0, :2])),
         ],
-        ids=["one label", "column labels", "more labels", "vector label",
-             "vector label sparse", "more values", "2-D indices"],
+        ids=["one label", "column labels", "more labels"],
     )
     def test_labels_that_do_not_match_the_rows_add_nothing(self, model, call):
         rng = np.random.default_rng(13)
@@ -291,7 +287,7 @@ class TestAccumulate:
 
 class TestNormWarning:
     """The covariate-norm premise warning names the caller's line, whichever
-    entry point folded the record (sharded runs: ``test_data.py``)."""
+    entry point folded the records (sharded runs: ``test_data.py``)."""
 
     X = np.full((4, 3), 0.9)  # 2-norm 1.56
     y = np.array([1.0, -1.0, 1.0, -1.0])
@@ -302,13 +298,11 @@ class TestNormWarning:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda t: t._fresh().accumulate(1.0, t.X[0]),
-            lambda t: t._fresh().accumulate(1.0, (np.arange(3), t.X[0])),
             lambda t: t._fresh().accumulate_batch(t.y, t.X),
             lambda t: build_stats(ArrayStream(t.y, t.X), mapping_logit(), 2, 4.0),
             lambda t: run_sharded(ArrayStream(t.y, t.X), 1, mapping_logit(), 2, 4.0),
         ],
-        ids=["dense record", "sparse record", "batch", "build_stats", "one shard"],
+        ids=["batch", "build_stats", "one shard"],
     )
     def test_names_the_calling_file(self, call):
         with warnings.catch_warnings(record=True) as caught:
@@ -467,33 +461,6 @@ class TestKernel:
         assert peak < max(kernel, monomials + 3 * 8 * len(iset)) + inputs
 
 
-class TestSparseRecords:
-    @pytest.mark.parametrize(
-        "indices",
-        [[1, 4, 6, 9], [9, 1, 6, 4], [4, 1, 4, 9, 1], [], [7]],
-        ids=["sorted", "unsorted", "repeated", "empty", "single"],
-    )
-    @pytest.mark.parametrize("M", [1, 2, 3, 5])
-    @pytest.mark.parametrize("model", ["logit", "poisson", "shuber"])
-    def test_matches_dense_record(self, model, M, indices):
-        d = 11
-        spec = get_mapping(model)
-        rng = np.random.default_rng(M)
-        iset = enumerate_indices(d, M)
-        sparse = new_stats(iset, spec, 2.0)
-        dense = new_stats(iset, spec, 2.0)
-        for _ in range(4):
-            idx = np.array(indices, dtype=np.int64)
-            vals = rng.uniform(-0.4, 0.4, idx.size)
-            x = np.zeros(d)
-            x[idx] = vals
-            y = spec.sample(rng, np.array([x.sum()]))[0]
-            sparse.accumulate(y, (idx, vals))
-            dense.accumulate(y, x)
-        np.testing.assert_allclose(sparse.values(), dense.values(), rtol=1e-12, atol=1e-15)
-        assert sparse.n == dense.n == 4
-
-
 class TestSurrogateIdentity:
     """Central correctness property: the statistics reassemble the surrogate
     log-likelihood exactly."""
@@ -622,15 +589,15 @@ class TestMerge:
     def test_linearity_of_accumulation(self):
         rng = np.random.default_rng(4)
         iset = enumerate_indices(3, 2)
-        r1 = (1.0, rng.uniform(-0.5, 0.5, 3))
-        r2 = (-1.0, rng.uniform(-0.5, 0.5, 3))
+        r1 = (np.array([1.0]), rng.uniform(-0.5, 0.5, (1, 3)))
+        r2 = (np.array([-1.0]), rng.uniform(-0.5, 0.5, (1, 3)))
         seq = new_stats(iset, mapping_logit(), 4.0)
-        seq.accumulate(*r1)
-        seq.accumulate(*r2)
+        seq.accumulate_batch(*r1)
+        seq.accumulate_batch(*r2)
         p1 = new_stats(iset, mapping_logit(), 4.0)
-        p1.accumulate(*r1)
+        p1.accumulate_batch(*r1)
         p2 = new_stats(iset, mapping_logit(), 4.0)
-        p2.accumulate(*r2)
+        p2.accumulate_batch(*r2)
         merged = merge(p1, p2)
         scale = np.maximum(1e-30, np.abs(seq.values()))
         assert np.max(np.abs(seq.values() - merged.values()) / scale) <= 1e-12
