@@ -270,8 +270,11 @@ class TestAccumulate:
             lambda s, X: s.accumulate_batch(np.array([1.0]), X),
             lambda s, X: s.accumulate_batch(np.ones((5, 1)), X),
             lambda s, X: s.accumulate_batch(np.ones(6), X),
+            lambda s, X: s.accumulate_batch(np.ones(2), X[:1]),
+            lambda s, X: s.accumulate_batch(np.ones(2), sp.csr_matrix(X[:1])),
         ],
-        ids=["one label", "column labels", "more labels"],
+        ids=["one label", "column labels", "more labels", "vector label",
+             "vector label sparse"],
     )
     def test_labels_that_do_not_match_the_rows_add_nothing(self, model, call):
         rng = np.random.default_rng(13)
@@ -298,11 +301,13 @@ class TestNormWarning:
     @pytest.mark.parametrize(
         "call",
         [
+            lambda t: t._fresh().accumulate_batch(t.y[:1], t.X[:1]),
+            lambda t: t._fresh().accumulate_batch(t.y[:1], sp.csr_matrix(t.X[:1])),
             lambda t: t._fresh().accumulate_batch(t.y, t.X),
             lambda t: build_stats(ArrayStream(t.y, t.X), mapping_logit(), 2, 4.0),
             lambda t: run_sharded(ArrayStream(t.y, t.X), 1, mapping_logit(), 2, 4.0),
         ],
-        ids=["batch", "build_stats", "one shard"],
+        ids=["dense record", "sparse record", "batch", "build_stats", "one shard"],
     )
     def test_names_the_calling_file(self, call):
         with warnings.catch_warnings(record=True) as caught:
@@ -459,6 +464,37 @@ class TestKernel:
             tracemalloc.stop()
         assert block < kernel + inputs
         assert peak < max(kernel, monomials + 3 * 8 * len(iset)) + inputs
+
+
+class TestSparseRecords:
+    """A record given as a one-row CSR batch adds what its dense row adds.
+    CSR entries of one row may come in any order, and a repeated column
+    sums its entries, as ``scipy.sparse`` reads it."""
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[1, 4, 6, 9], [9, 1, 6, 4], [4, 1, 4, 9, 1], [], [7]],
+        ids=["sorted", "unsorted", "repeated", "empty", "single"],
+    )
+    @pytest.mark.parametrize("M", [1, 2, 3, 5])
+    @pytest.mark.parametrize("model", ["logit", "poisson", "shuber"])
+    def test_matches_dense_record(self, model, M, indices):
+        d = 11
+        spec = get_mapping(model)
+        rng = np.random.default_rng(M)
+        iset = enumerate_indices(d, M)
+        sparse = new_stats(iset, spec, 2.0)
+        dense = new_stats(iset, spec, 2.0)
+        for _ in range(4):
+            idx = np.array(indices, dtype=np.int64)
+            vals = rng.uniform(-0.4, 0.4, idx.size)
+            x = np.zeros(d)
+            np.add.at(x, idx, vals)
+            y = spec.sample(rng, np.array([x.sum()]))
+            sparse.accumulate_batch(y, sp.csr_matrix((vals, idx, [0, idx.size]), shape=(1, d)))
+            dense.accumulate_batch(y, x[None, :])
+        np.testing.assert_allclose(sparse.values(), dense.values(), rtol=1e-12, atol=1e-15)
+        assert sparse.n == dense.n == 4
 
 
 class TestSurrogateIdentity:
