@@ -110,6 +110,8 @@ class MalaConfig:
     def __post_init__(self):
         if self.iterations < 10:
             raise InvalidInputError("iteration count is too small")
+        if self.chains < 1:
+            raise InvalidInputError(f"chain count must be >= 1, got {self.chains}")
 
     @property
     def burn_in(self) -> int:
@@ -240,6 +242,8 @@ def sgd(
     """
     if epochs < 1:
         raise InvalidInputError("epochs must be >= 1")
+    if not (np.isfinite(eta0) and eta0 > 0):
+        raise InvalidInputError(f"eta0 must be finite and > 0, got {eta0}")
     y, X = _records(spec, data)
     n, d = X.shape
     if prior is not None and prior.kind == "gaussian":

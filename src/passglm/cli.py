@@ -83,15 +83,34 @@ def _posterior_to_json(post) -> dict:
 
 
 def _gaussian_from_json(doc: dict) -> GaussianPosterior:
-    if doc.get("kind") == "surrogate":
-        doc = doc["laplace"]
-        d = int(np.sqrt(len(doc["chol_lower"])))
-    else:
+    """The Gaussian of a posterior document: a ``gaussian`` one itself, a
+    ``surrogate`` one's Laplace fit; any other document raises ``InvalidInputError``."""
+    try:
         d = doc["d"]
-    chol = np.asarray(doc["chol_lower"], dtype=float).reshape(d, d)
-    return GaussianPosterior(
-        mean=np.asarray(doc["mean"], dtype=float), chol=chol, logdet=doc["logdet"]
-    )
+        fields = doc["laplace"] if doc.get("kind") == "surrogate" else doc
+        mean = np.asarray(fields["mean"], dtype=float)
+        chol = np.asarray(fields["chol_lower"], dtype=float)
+        logdet = float(fields["logdet"])
+    except KeyError as exc:
+        raise InvalidInputError(f"missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed document: {exc}") from None
+    if not (isinstance(d, int) and d >= 1 and mean.shape == (d,) and chol.shape == (d * d,)):
+        raise InvalidInputError(
+            f"need d >= 1, d mean values and d*d chol_lower values; got d={d!r}, "
+            f"{mean.size} and {chol.size}"
+        )
+    return GaussianPosterior(mean=mean, chol=chol.reshape(d, d), logdet=logdet)
+
+
+def _read_gaussian(path: str) -> GaussianPosterior:
+    """The Gaussian of a posterior JSON file; an unusable file raises
+    ``InvalidInputError`` naming it."""
+    with open(path) as fh:
+        try:
+            return _gaussian_from_json(json.load(fh))
+        except (ValueError, InvalidInputError) as exc:  # JSONDecodeError is a ValueError
+            raise InvalidInputError(f"{path} is not a posterior file: {exc}") from None
 
 
 def _open_input(args) -> LibsvmStream:
@@ -193,12 +212,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.posterior) as fh:
-        post_doc = json.load(fh)
-    with open(args.reference) as fh:
-        ref_doc = json.load(fh)
-    post = _gaussian_from_json(post_doc)
-    ref = _gaussian_from_json(ref_doc)
+    post = _read_gaussian(args.posterior)
+    ref = _read_gaussian(args.reference)
     report = compare_posteriors(post, ref)
     payload = report.as_dict()
     payload["schema_version"] = SCHEMA_VERSION

@@ -232,28 +232,15 @@ def posterior_lr2(stats: SuffStats, approx: PolyApprox | None, prior: PriorSpec)
 # --- polynomial surfaces ----------------------------------------------------
 
 
-def _drop_one(rows: np.ndarray):
-    """First-derivative links of the monomials ``rows`` (nondecreasing
-    variables padded with -1): ``d/dtheta_var theta**rows[src] =
-    exponent * theta**reduced`` for each distinct variable of each row."""
-    valid = rows >= 0
-    nxt = np.pad(rows[:, 1:], ((0, 0), (0, 1)), constant_values=-1)
-    src, col = np.nonzero(valid & (rows != nxt))  # last column of each run
-    var = rows[src, col]
-    exponent = (rows[src] == var[:, None]).sum(axis=1)
-    M = rows.shape[1]
-    keep = np.arange(M) + (np.arange(M) >= col[:, None])
-    reduced = np.pad(rows, ((0, 0), (0, 1)), constant_values=-1)[src[:, None], keep]
-    return src, var, exponent, reduced
-
-
 class PolySurface:
     """A polynomial in ``d`` variables over a multi-index set, with gradient
     and Hessian evaluation.
 
-    Derivatives are sums of ``weight * monomial[pos]`` terms scattered into
-    the gradient or the flattened Hessian with ``np.bincount``; the
-    ``(target, weight, pos)`` arrays are built once per surface.
+    As ``d/dtheta_u theta**(j + e_u) = (j_u + 1) theta**j``, the gradient is
+    a fixed ``(d, |K_<M|)`` matrix times the monomials of degree below ``M``,
+    and the Hessian's upper triangle one row per pair ``u <= v`` over
+    ``K_<M-1``.  Both are built once from ``MultiIndexSet.up``; the Hessian
+    is mirrored, so it is exactly symmetric.
     """
 
     def __init__(self, index_set: MultiIndexSet, coefficients: np.ndarray):
@@ -261,41 +248,31 @@ class PolySurface:
         self.coefficients = np.asarray(coefficients, dtype=float)
         if self.coefficients.shape != (len(index_set),):
             raise InvalidInputError("coefficient vector does not match the index set")
-        self._links = None
+        c, up = self.coefficients, index_set.up
+        rows = index_set.rows[: len(up)]
+        E = np.zeros(up.shape, dtype=np.int8)  # E[j, u]: the exponent of u in index j
+        np.add.at(E, (np.nonzero(rows >= 0)[0], rows[rows >= 0]), 1)
+        self._grad = (c[up] * (E + 1.0)).T
+        low = index_set.offsets[max(index_set.M - 1, 0)]
+        self._pairs = u, v = np.triu_indices(index_set.d)
+        hess = c[up[up[:low][:, u], v]] * (E[:low, u] + 1.0)
+        hess *= E[:low, v] + (u == v) + 1.0
+        self._hess = hess.T
 
-    def _monomials(self, theta: np.ndarray) -> np.ndarray:
+    def _monomials(self, theta: np.ndarray, stop: int | None = None) -> np.ndarray:
         # the -1 padding picks the appended 1.0
-        return np.prod(np.append(theta, 1.0)[self.index_set.rows], axis=1)
+        return np.prod(np.append(theta, 1.0)[self.index_set.rows[:stop]], axis=1)
 
     def value(self, theta: np.ndarray) -> float:
         return float(self.coefficients @ self._monomials(theta))
 
-    def _derivative_links(self):
-        if self._links is None:
-            iset = self.index_set
-            src, var, exponent, reduced = _drop_one(iset.rows)
-            src2, var2, exponent2, reduced2 = _drop_one(reduced)
-            coef = self.coefficients
-            # integer multipliers keep the Hessian exactly symmetric
-            grad = (var, coef[src] * exponent, iset.position(reduced))
-            hess = (
-                var[src2] * iset.d + var2,
-                coef[src[src2]] * (exponent[src2] * exponent2),
-                iset.position(reduced2),
-            )
-            self._links = (grad, hess)
-        return self._links
-
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        target, weight, pos = self._derivative_links()[0]
-        mono = self._monomials(theta)
-        return np.bincount(target, weight * mono[pos], minlength=self.index_set.d)
+        return self._grad @ self._monomials(theta, self._grad.shape[1])
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        target, weight, pos = self._derivative_links()[1]
-        mono = self._monomials(theta)
-        d = self.index_set.d
-        return np.bincount(target, weight * mono[pos], minlength=d * d).reshape(d, d)
+        H = np.empty((self.index_set.d,) * 2)
+        H[self._pairs] = H[self._pairs[::-1]] = self._hess @ self._monomials(theta, self._hess.shape[1])
+        return H
 
 
 def surrogate_loglik_coefficients(stats: SuffStats, approx: PolyApprox | None = None) -> np.ndarray:
@@ -327,11 +304,9 @@ def _surrogate_posterior_surface(
     if prior.kind == "gaussian":
         prec = prior.precision_diag(d)
         mean = prior.mean_vector(d)
-        squares = np.full((d, target_M), -1)
-        squares[:, :2] = np.arange(d)[:, None]
         coef[0] += -0.5 * float(prec @ (mean * mean))
         coef[1 : d + 1] += prec * mean
-        coef[iset.position(squares)] += -0.5 * prec
+        coef[iset.up[1 + np.arange(d), np.arange(d)]] += -0.5 * prec
     return PolySurface(iset, coef)
 
 
@@ -352,6 +327,8 @@ def posterior_general(
     Armijo backtracking, projecting onto the ball of ``domain_radius`` when
     given, then fits a Gaussian at the optimum.
     """
+    if domain_radius is not None and not domain_radius > 0:
+        raise InvalidInputError(f"domain radius must be > 0, got {domain_radius}")
     surface = _surrogate_posterior_surface(stats, approx, prior)
     if stats.mapping.name == "poisson":
         _check_poisson_convexity(_approxes(stats, approx)[1])

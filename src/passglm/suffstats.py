@@ -125,23 +125,6 @@ class MultiIndexSet:
             isinstance(other, MultiIndexSet) and self.d == other.d and self.M == other.M
         )
 
-    def position(self, rows) -> np.ndarray:
-        """Positions of multi-indices given as rows shaped like ``self.rows``
-        (nondecreasing variables padded with -1, any leading shape).
-
-        This is the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3):
-        the rows of degree ``m`` that follow row ``a`` and first differ from it
-        in column ``i`` are the nondecreasing ``(m - i)``-tuples of variables
-        above ``a_i``.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.shape[-1:] != (self.M,):
-            raise InvalidInputError(f"multi-index rows must have {self.M} columns, got {rows.shape}")
-        valid = rows >= 0
-        m = valid.sum(axis=-1)
-        after = np.where(valid, self._tails[rows, m[..., None] - np.arange(self.M)], 0)
-        return self.offsets[m + 1] - 1 - after.sum(axis=-1)
-
     @cached_property
     def _tails(self) -> np.ndarray:
         """``_tails[a, k]``: the number of nondecreasing ``k``-tuples of the
@@ -154,8 +137,10 @@ class MultiIndexSet:
 
     def _rank(self, cols: np.ndarray) -> np.ndarray:
         """Positions within the degree-``j`` block of the indices whose ``j``
-        nondecreasing variables are the columns of ``cols``; ``position``
-        for one degree without padding."""
+        nondecreasing variables are the columns of ``cols``, by the
+        combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): the indices
+        after ``a`` that first differ from it in column ``i`` are the
+        nondecreasing ``(j - i)``-tuples of variables above ``a_i``."""
         j = cols.shape[1]
         after = np.zeros(len(cols), dtype=np.int64)
         for i in range(j):
@@ -175,6 +160,22 @@ class MultiIndexSet:
             (self._rank(self._block(j)[:, : j - 1]), self._block(j)[:, j - 1].copy())
             for j in range(2, top + 1)
         ]
+
+    @cached_property
+    def up(self) -> np.ndarray:
+        """``up[j, u]`` for each index ``j`` of degree below ``M``: the
+        position of ``j + e_u``, the index with the variable ``u`` added
+        (int32).  Each degree sorts every variable into its rows and ranks
+        them, ``_BLOCK_BYTES`` of candidates at a time."""
+        out = np.empty((self.offsets[self.M], self.d), dtype=np.int32)
+        for m in range(self.M):
+            block, flat = self._block(m)[:, :m], out[self.offsets[m] : self.offsets[m + 1]].reshape(-1)
+            step = _BLOCK_BYTES // (8 * (m + 1))
+            for lo in range(0, flat.size, step):
+                at = np.arange(lo, min(lo + step, flat.size))
+                cols = np.sort(np.column_stack([block[at // self.d], at % self.d]), axis=1)
+                flat[lo : lo + step] = self.offsets[m + 1] + self._rank(cols)
+        return out
 
     @cached_property
     def halves(self) -> list:

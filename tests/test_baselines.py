@@ -112,6 +112,11 @@ class TestMala:
         with pytest.raises(InvalidInputError):
             MalaConfig(iterations=5)
 
+    @pytest.mark.parametrize("chains", [0, -2])
+    def test_chain_count_must_be_positive(self, chains):
+        with pytest.raises(InvalidInputError, match="chain count must be >= 1"):
+            MalaConfig(iterations=100, chains=chains)
+
     def test_single_chain_has_no_rhat(self):
         config = MalaConfig(iterations=1000, chains=1, seed=10)
         out = mala(quadratic_mapping(), PriorSpec.gaussian(1.0), EMPTY_2D, config)
@@ -174,6 +179,11 @@ class TestSgd:
     def test_epoch_validation(self):
         with pytest.raises(InvalidInputError):
             sgd(mapping_logit(), EMPTY_2D, epochs=0)
+
+    @pytest.mark.parametrize("eta0", [-1.0, 0.0, np.nan, np.inf])
+    def test_eta0_must_be_finite_and_positive(self, eta0):
+        with pytest.raises(InvalidInputError, match="eta0 must be finite and > 0"):
+            sgd(mapping_logit(), EMPTY_2D, epochs=1, eta0=eta0)
 
 
 class TestStreamConsumption:

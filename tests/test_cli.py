@@ -448,10 +448,26 @@ class TestUnusableOptions:
              "No such file or directory: '{missing}'"),
             (["eval", "--posterior", "{post}", "--reference", "{post}", "--test", "{missing}",
               "--out", "{tmp}/out.json"], "No such file or directory: '{missing}'"),
+            (["fit", "--stats", "{stats}", "--prior", "gaussian:4", "--domain-radius", -1,
+              "--out", "{tmp}/out.json"], "domain radius must be > 0, got -1.0"),
+            (["fit", "--stats", "{stats}", "--prior", "gaussian:4", "--domain-radius", 0,
+              "--out", "{tmp}/out.json"], "domain radius must be > 0, got 0.0"),
+            (["fit", "--stats", "{stats}", "--prior", "gaussian:4", "--domain-radius", "nan",
+              "--out", "{tmp}/out.json"], "domain radius must be > 0, got nan"),
+            (["baseline", "--method", "mala", "--input", "{data}", "--model", "logit",
+              "--iters", 100, "--chains", 0, "--out", "{tmp}/out.json"], "chain count must be >= 1"),
+            (["baseline", "--method", "mala", "--input", "{data}", "--model", "logit",
+              "--iters", 100, "--chains", -2, "--out", "{tmp}/out.json"], "chain count must be >= 1"),
+            (["baseline", "--method", "sgd", "--input", "{data}", "--model", "logit",
+              "--eta0", -1, "--out", "{tmp}/out.json"], "eta0 must be finite and > 0"),
+            (["baseline", "--method", "sgd", "--input", "{data}", "--model", "logit",
+              "--eta0", "nan", "--out", "{tmp}/out.json"], "eta0 must be finite and > 0"),
         ],
         ids=["prior not a number", "prior nan", "theta not a number", "theta nan", "theta inf",
              "theta length", "negative n", "synth to 0", "project to 0", "fit missing",
-             "stats build missing", "stats merge missing", "project missing", "eval missing"],
+             "stats build missing", "stats merge missing", "project missing", "eval missing",
+             "domain radius negative", "domain radius 0", "domain radius nan", "chains 0",
+             "chains negative", "eta0 negative", "eta0 nan"],
     )
     def test_exits_2_with_an_error_line(self, dataset, tmp_path, capsys, argv, message):
         path, _, _ = dataset
@@ -466,6 +482,31 @@ class TestUnusableOptions:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message.format(**fields) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.glob("out.*"))
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("not json", "Expecting value"),
+            ('{"kind": "gaussian"}', "missing field 'd'"),
+            ('{"kind": "surrogate", "d": 2, "laplace": {"mean": [0, 0], "chol_lower": [1, 0, 1], '
+             '"logdet": 0}}', "got d=2, 2 and 3"),
+            ('{"kind": "gaussian", "d": 2, "mean": [0, 0, 0], "chol_lower": [1, 0, 0, 1], '
+             '"logdet": 0}', "got d=2, 3 and 4"),
+        ],
+        ids=["not json", "no d", "short surrogate factor", "long mean"],
+    )
+    def test_eval_refuses_a_malformed_posterior_file(self, tmp_path, capsys, content, message):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(content)
+        good.write_text('{"kind": "gaussian", "d": 2, "mean": [0, 0], "chol_lower": [1, 0, 0, 1], '
+                        '"logdet": 0}')
+        for pair in ((bad, good), (good, bad)):
+            assert run("eval", "--posterior", pair[0], "--reference", pair[1],
+                       "--out", tmp_path / "out.json") == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad} is not a posterior file: ") and message in err
+            assert err.count("\n") == 1 and "Traceback" not in err
         assert not list(tmp_path.glob("out.*"))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,15 +252,22 @@ class TestPosteriorGeneral:
         vals = stats.values()
         d = 2
         t1 = vals[1 : d + 1]
-        pos = stats.index_set.position
+        up = stats.index_set.up
         T2 = np.array(
             [
-                [vals[pos([0, 0])], vals[pos([0, 1])]],
-                [vals[pos([0, 1])], vals[pos([1, 1])]],
+                [vals[up[up[0, 0], 0]], vals[up[up[0, 0], 1]]],
+                [vals[up[up[0, 0], 1]], vals[up[up[0, 1], 1]]],
             ]
         )
         expected = np.linalg.solve(-2.0 * b[2] * T2, b[1] * t1)
         np.testing.assert_allclose(general.map_estimate, expected, atol=1e-7)
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan])
+    def test_domain_radius_must_be_positive(self, radius):
+        rng = np.random.default_rng(17)
+        stats = lr2_stats(*logistic_instance(rng, 2, 50, np.array([1.0, -0.5])))
+        with pytest.raises(InvalidInputError, match="domain radius must be > 0"):
+            posterior_general(stats, None, PriorSpec.gaussian(4.0), domain_radius=radius)
 
     def test_logistic_degree_four_is_rejected(self):
         rng = np.random.default_rng(18)
@@ -343,10 +351,11 @@ class TestPolySurface:
             np.testing.assert_allclose(H[:, j], fd, rtol=1e-4, atol=1e-6)
 
 
-    def test_value_gradient_hessian_match_dense_oracle(self):
+    @pytest.mark.parametrize("M", [0, 1, 2, 5, 6])
+    @pytest.mark.parametrize("d", [1, 3, 6, 10])
+    def test_value_gradient_hessian_match_dense_oracle(self, d, M):
         from tests.test_suffstats import cwr_rows
 
-        d, M = 10, 6
         rng = np.random.default_rng(26)
         iset = enumerate_indices(d, M)
         coef = rng.normal(0, 1, len(iset))
@@ -374,8 +383,25 @@ class TestPolySurface:
             )
             scale = np.abs(coef).sum()
             assert surface.value(theta) == pytest.approx(coef @ mono(theta, E), rel=1e-12, abs=1e-13 * scale)
-            np.testing.assert_allclose(surface.gradient(theta), grad, rtol=1e-12, atol=1e-13 * scale)
-            np.testing.assert_allclose(surface.hessian(theta), hess, rtol=1e-12, atol=1e-13 * scale)
+            g, H = surface.gradient(theta), surface.hessian(theta)
+            assert g.dtype == H.dtype == np.float64
+            np.testing.assert_array_equal(H, H.T)
+            np.testing.assert_allclose(g, grad, rtol=1e-12, atol=1e-13 * scale)
+            np.testing.assert_allclose(H, hess, rtol=1e-12, atol=1e-13 * scale)
+
+    def test_wide_surface_memory_is_bounded(self):
+        # d = 20, M = 6 has 230,230 entries: the index set and the two
+        # derivative matrices take about 70 MB, per-entry link tables took 932 MiB
+        rng = np.random.default_rng(27)
+        tracemalloc.start()
+        try:
+            iset = enumerate_indices(20, 6)
+            surface = PolySurface(iset, rng.normal(0, 1, len(iset)))
+            surface.hessian(rng.uniform(-0.5, 0.5, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150e6
 
 
 class TestFlatPriorEquivalence:

@@ -124,12 +124,14 @@ class TestEnumerateIndices:
         iset = enumerate_indices(d, M)
         np.testing.assert_array_equal(iset.rows, cwr_rows(d, M))
 
-    def test_position_is_bijection(self, subtests=None):
-        for d, M in [(3, 2), (2, 4)]:
-            iset = enumerate_indices(d, M)
-            for i, row in enumerate(iset.rows):
-                assert iset.position(row) == i
-            np.testing.assert_array_equal(iset.position(iset.rows), np.arange(len(iset)))
+    @pytest.mark.parametrize("d,M", [(3, 2), (2, 4), (4, 5)])
+    def test_up_adds_one_variable(self, d, M):
+        iset = enumerate_indices(d, M)
+        keys = [dense_key(r, d) for r in iset.rows]
+        assert iset.up.shape == (math.comb(d + M - 1, d), d)
+        for j, row in enumerate(iset.up):
+            for u, pos in enumerate(row):
+                assert keys[pos] == tuple(e + (v == u) for v, e in enumerate(keys[j]))
 
     def test_multinomial_cache(self):
         iset = enumerate_indices(3, 3)
@@ -167,8 +169,8 @@ class TestAccumulate:
         with pytest.warns(UserWarning, match="norm"):
             stats.accumulate_batch(np.array([-1.0]), np.array([[1.0, 2.0]]))
         vals = stats.values()
-        assert vals[iset.position([0, -1])] == -1.0
-        assert vals[iset.position([0, 0])] == 1.0
+        assert vals[iset.up[0, 0]] == -1.0
+        assert vals[iset.up[iset.up[0, 0], 0]] == 1.0
 
     def test_sparse_and_dense_records_agree(self):
         iset = enumerate_indices(4, 2)
