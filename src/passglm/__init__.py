@@ -56,7 +56,6 @@ from .posterior import (
     map_error_certificate,
     posterior_general,
     posterior_lr2,
-    sample,
 )
 from .baselines import ChainOutput, MalaConfig, laplace, mala, sgd, split_rhat
 from .metrics import (

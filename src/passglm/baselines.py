@@ -2,7 +2,8 @@
 
 These consume the same record sources as the statistics builder so that
 head-to-head comparisons are fair.  All of them work with the exact
-(non-approximate) log-likelihood of the mapping.
+(non-approximate) log-likelihood of the mapping.  The exact MAP is found by
+the same Newton solver as the surrogate MAP (``posterior._newton``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
 )
 from .mappings import MappingSpec, _check_finite, _loglik_derivs, _records
 from .metrics import _average_ranks
-from .posterior import GaussianPosterior, PriorSpec, _chol_from_precision
+from .posterior import GaussianPosterior, PriorSpec, _gaussian_at, _newton
 
 __all__ = [
     "MalaConfig",
@@ -33,58 +34,64 @@ __all__ = [
 ]
 
 
-def exact_map(
-    spec: MappingSpec,
-    prior: PriorSpec,
-    data,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newton iteration to the exact MAP.
+class _LogPosterior:
+    """The exact log-posterior of ``spec`` and ``prior`` on the records
+    ``(y, X)``, read through ``_loglik_derivs`` one derivative at a time."""
+
+    def __init__(self, spec: MappingSpec, prior: PriorSpec, y: np.ndarray, X: np.ndarray):
+        self.spec, self.prior, self.y, self.X = spec, prior, y, X
+        d = X.shape[1]
+        self.mean = prior.mean_vector(d)
+        self.prec = np.diag(prior.precision_diag(d))
+        self._at = self._s = None
+
+    def _derivs(self, theta: np.ndarray, k: int) -> np.ndarray:
+        # _newton reads value, gradient and Hessian at one point: keep its X @ theta
+        if theta is not self._at:
+            self._at, self._s = theta, self.X @ theta
+        return _loglik_derivs(self.spec, self.y, self._s, k, lowest=k)[k]
+
+    def value(self, theta: np.ndarray) -> float:
+        return float(np.sum(self._derivs(theta, 0))) + self.prior.log_density(theta)
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        d1 = self._derivs(theta, 1)
+        _check_finite(d1, "gradient")
+        return self.X.T @ d1 - self.prec @ (theta - self.mean)
+
+    def hessian(self, theta: np.ndarray) -> np.ndarray:
+        return self.X.T @ (self._derivs(theta, 2)[:, None] * self.X) - self.prec
+
+
+# exact_map's Newton fails after this many steps.
+_MAX_ITER = 100
+
+
+def exact_map(spec: MappingSpec, prior: PriorSpec, data, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Newton iteration (``posterior._newton``) to the exact MAP, from the
+    prior mean.
 
     Returns the optimum and the Hessian of the negative log-posterior there.
     The absolute gradient norm at the reported optimum is at most ``tol``.
     """
     y, X = _records(spec, data)
-    d = X.shape[1]
-    mean = prior.mean_vector(d)
-    prec = np.diag(prior.precision_diag(d))
-
-    def evaluate(theta):
-        # negative log-posterior and the per-record derivatives in X @ theta
-        ll, d1, d2 = _loglik_derivs(spec, y, X @ theta, 2)
-        return -float(np.sum(ll)) - prior.log_density(theta), d1, d2
-
-    theta = mean
-    f, d1, d2 = evaluate(theta)
-    for _ in range(max_iter):
-        _check_finite(d1, "gradient")
-        grad = -(X.T @ d1) + prec @ (theta - mean)
-        hess = -(X.T @ (d2[:, None] * X)) + prec
-        if np.linalg.norm(grad) <= tol:
-            return theta, hess
-        try:
-            step = linalg.cho_solve((linalg.cholesky(hess, lower=True), True), grad)
-        except linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Hessian during Newton iteration: {exc}")
-        alpha = 1.0
-        decrement = float(grad @ step)
-        while alpha > 1e-12:
-            theta_next = theta - alpha * step
-            f_next, d1, d2 = evaluate(theta_next)
-            if f_next <= f - 1e-4 * alpha * decrement:
-                break
-            alpha *= 0.5
-        theta, f = theta_next, f_next
-    raise ConvergenceError(f"Newton did not reach gradient tolerance {tol} in {max_iter} iterations")
+    surface = _LogPosterior(spec, prior, y, X)
+    try:
+        theta, hess = _newton(surface, surface.mean, lambda f: tol, _MAX_ITER)
+    except linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular Hessian during Newton iteration: {exc}") from None
+    return theta, -hess
 
 
 def laplace(spec: MappingSpec, prior: PriorSpec, data, tol: float = 1e-8) -> GaussianPosterior:
     """Gaussian approximation at the exact MAP with covariance equal to the
     inverse Hessian of the exact negative log-posterior."""
-    theta, hess = exact_map(spec, prior, data, tol=tol)
-    _, cov_chol, logdet = _chol_from_precision(hess)
-    return GaussianPosterior(mean=theta, chol=cov_chol, logdet=logdet)
+    return _gaussian_at(*exact_map(spec, prior, data, tol=tol))
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
 
 
 # MALA starts at step size _STEP_SIZE and adapts it toward the acceptance rate
@@ -112,6 +119,7 @@ class MalaConfig:
             raise InvalidInputError("iteration count is too small")
         if self.chains < 1:
             raise InvalidInputError(f"chain count must be >= 1, got {self.chains}")
+        _check_seed(self.seed)
 
     @property
     def burn_in(self) -> int:
@@ -244,6 +252,7 @@ def sgd(
         raise InvalidInputError("epochs must be >= 1")
     if not (np.isfinite(eta0) and eta0 > 0):
         raise InvalidInputError(f"eta0 must be finite and > 0, got {eta0}")
+    _check_seed(seed)
     y, X = _records(spec, data)
     n, d = X.shape
     if prior is not None and prior.kind == "gaussian":

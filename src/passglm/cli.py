@@ -267,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="passglm",
         description="Polynomial approximate sufficient statistics for GLMs",
     )
-    parser.add_argument("--seed", dest="default_seed", metavar="SEED", type=int,
-                        default=0, help="global default seed")
     parser.add_argument("--log-level", default="WARNING",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", type=int, default=3)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--eta0", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--draws-out")
     p.set_defaults(func=cmd_baseline)
@@ -337,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--dim", type=int, required=True, help="output dimension")
     p.add_argument("--input-dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("synth", help="generate synthetic model data")
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", default="0.5", help="comma-separated or scalar broadcast")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -356,8 +354,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level))
-    if getattr(args, "seed", None) is None:
-        args.seed = args.default_seed
     try:
         return args.func(args)
     except (PassGlmError, OSError) as exc:

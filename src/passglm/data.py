@@ -91,17 +91,12 @@ class _RoundRobinView(RecordStream):
 
     def _iter_batches(self, batch_size: int):
         offset = 0
-        for y, X in self.base._iter_batches(batch_size):
+        for y, X in self.base.batches(batch_size):
             take = np.arange(len(y)) + offset
             mask = take % self.count == self.index
             if mask.any():
                 yield y[mask], X[mask]
             offset += len(y)
-
-    def batches(self, batch_size: int = DEFAULT_BATCH):
-        self.passes += 1
-        self.base.passes += 1
-        yield from self._iter_batches(batch_size)
 
 
 class ArrayStream(RecordStream):
@@ -113,7 +108,6 @@ class ArrayStream(RecordStream):
         if self.X.ndim != 2 or len(self.y) != self.X.shape[0]:
             raise InvalidInputError("y and X shapes do not agree")
         self.d = self.X.shape[1]
-        self.passes = 0
 
     def _iter_batches(self, batch_size: int):
         for lo in range(0, len(self.y), batch_size):
@@ -239,7 +233,6 @@ class LibsvmStream(RecordStream):
         self.path = str(path)
         self.labels = labels
         self.strict = strict
-        self.passes = 0
         self.skipped = 0
         if d is None:
             d = self._infer_dimension()
@@ -433,12 +426,14 @@ def _ball_covariates(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return z * radii[:, None]
 
 
-def _true_theta(theta_true, d: int, n: int) -> np.ndarray:
+def _true_theta(theta_true, d: int, n: int, seed: int) -> np.ndarray:
     """``theta_true`` as a length-``d`` view, one value broadcast, after
     checking that it is finite, that it holds 1 or ``d`` values and that
-    ``d >= 1`` and ``n >= 0``."""
+    ``d >= 1``, ``n >= 0`` and ``seed >= 0``."""
     if d < 1 or n < 0:
         raise InvalidInputError(f"synthetic data needs d >= 1 and n >= 0, got d={d}, n={n}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     theta = np.asarray(theta_true, dtype=float)
     if theta.ndim > 1 or theta.size not in (1, d):
         raise InvalidInputError(f"theta takes 1 or d={d} values, got {theta.size} in shape {theta.shape}")
@@ -451,7 +446,7 @@ def synthesize_arrays(model: str, d: int, n: int, seed: int, theta_true, scale: 
     """Generate ``(y, X)`` from the named model with covariates uniform in the
     unit ball."""
     sample = get_mapping(model, scale).sample
-    theta_true = _true_theta(theta_true, d, n)
+    theta_true = _true_theta(theta_true, d, n, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     X = _ball_covariates(rng, n, d)
     return sample(rng, X @ theta_true), X
@@ -467,8 +462,7 @@ class SyntheticStream(RecordStream):
         self.n = n
         self.seed = seed
         self.scale = scale
-        self.theta_true = _true_theta(theta_true, d, n).copy()
-        self.passes = 0
+        self.theta_true = _true_theta(theta_true, d, n, seed).copy()
         self._sample = get_mapping(model, scale).sample
 
     def _iter_batches(self, batch_size: int):
@@ -488,7 +482,7 @@ class SyntheticStream(RecordStream):
 
 def synthesize(model: str, d: int, n: int, seed: int, theta_true, path, scale: float | None = None) -> dict:
     """Write a synthetic libsvm file plus a JSON manifest recording the truth."""
-    theta_true = _true_theta(theta_true, d, n)
+    theta_true = _true_theta(theta_true, d, n, seed)
     y, X = synthesize_arrays(model, d, n, seed, theta_true, scale=scale)
     write_libsvm(path, y, X)
     manifest = {
@@ -601,7 +595,6 @@ class ProjectedStream(RecordStream):
         self.d = spec.output_dim
         self._matrix = sp.csr_matrix((spec.input_dim, spec.output_dim))
         self._drawn = np.zeros(spec.input_dim, dtype=bool)
-        self.passes = 0
 
     def _product(self, A: sp.csr_matrix) -> np.ndarray:
         new = np.unique(A.indices[~self._drawn[A.indices]])
@@ -611,13 +604,8 @@ class ProjectedStream(RecordStream):
         return (A @ self._matrix).toarray()
 
     def _iter_batches(self, batch_size: int):
-        for y, X in self.base._iter_batches(batch_size):
+        for y, X in self.base.batches(batch_size):
             yield y, self._product(_csr(X))
-
-    def batches(self, batch_size: int = DEFAULT_BATCH):
-        self.passes += 1
-        self.base.passes += 1
-        yield from self._iter_batches(batch_size)
 
     def shard(self, index: int, count: int) -> "ProjectedStream":
         """Project only the records of the base stream's shard."""
@@ -650,12 +638,10 @@ def build_stats(
     mapping: MappingSpec,
     M: int,
     radius: float,
-    cap: int | None = None,
     batch_size: int = DEFAULT_BATCH,
 ) -> SuffStats:
     """Single-pass statistics construction over a stream."""
-    kwargs = {} if cap is None else {"cap": cap}
-    index_set = enumerate_indices(stream.d, M, **kwargs)
+    index_set = enumerate_indices(stream.d, M)
     stats = new_stats(index_set, mapping, radius)
     for y, X in stream.batches(batch_size):
         stats.accumulate_batch(y, X)
@@ -797,7 +783,6 @@ class _DealtStream(RecordStream):
     def __init__(self, conn, d: int):
         self.conn = conn
         self.d = d
-        self.passes = 0
 
     def _iter_batches(self, batch_size: int):
         while (piece := self.conn.recv()) is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class EvalReport:
     w2: float
     test_nll: float | None = None
     auc: float | None = None
-    timings: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -46,7 +45,6 @@ class EvalReport:
             "w2": self.w2,
             "test_nll": self.test_nll,
             "auc": self.auc,
-            "timings": self.timings,
         }
 
 

@@ -4,6 +4,9 @@ For the degree-2 logistic surrogate with a Gaussian prior the posterior is an
 exact Gaussian with closed-form mean and covariance.  For every other
 supported case the surrogate log-posterior is a polynomial in the parameter;
 its mode is found by Newton iteration and a Gaussian is fitted at the mode.
+``_newton`` is the package's one Newton solver: it also finds the exact MAP
+of the Laplace baseline (``baselines.exact_map``), and ``_gaussian_at`` fits
+the Gaussian at both modes.
 
 Every fit resolves its ``approx`` argument with ``_approxes``: ``None`` means
 the statistics' own terms (``SuffStats.approxes``); raw (logistic) statistics,
@@ -43,7 +46,6 @@ __all__ = [
     "posterior_lr2",
     "posterior_general",
     "map_error_certificate",
-    "sample",
 ]
 
 
@@ -125,10 +127,6 @@ class GaussianPosterior:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((count, self.d))
         return self.mean + z @ self.chol.T
-
-
-def sample(post: GaussianPosterior, count: int, seed: int | None = None) -> np.ndarray:
-    return post.sample(count, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -310,9 +308,54 @@ def _surrogate_posterior_surface(
     return PolySurface(iset, coef)
 
 
-# Newton stops at stationarity <= _GRAD_TOL * max(1, |value|), or fails after _MAX_ITER steps.
+# The surrogate's Newton stops at stationarity <= _GRAD_TOL * max(1, |value|),
+# or fails after _MAX_ITER steps.
 _GRAD_TOL = 1e-8
 _MAX_ITER = 500
+# Newton's sufficient-increase constant and the smallest step it backtracks to.
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-12
+
+
+def _newton(surface, theta: np.ndarray, tol, max_iter: int, radius: float | None = None):
+    """Maximize ``surface`` (``value``, ``gradient`` and ``hessian``, as on
+    :class:`PolySurface`) from ``theta`` by damped Newton iteration.
+
+    Each step solves with the Cholesky factor of ``-H`` (its ``LinAlgError``
+    reaches the caller) and is halved until the Armijo condition holds
+    (Nocedal & Wright, *Numerical Optimization*, ch. 3); with ``radius``,
+    every candidate is projected onto that ball.  Returns the point and the
+    Hessian there once the projected gradient norm is at most ``tol(value)``;
+    after ``max_iter`` steps raises :class:`ConvergenceError` with the trace
+    ``(step, value, gradient norm)``.
+    """
+    f = surface.value(theta)
+    trace = []
+    for it in range(max_iter):
+        g = surface.gradient(theta)
+        H = surface.hessian(theta)
+        trace.append((it, f, float(np.linalg.norm(g))))
+        if _stationarity(theta, g, radius) <= tol(f):
+            return theta, H
+        step = linalg.cho_solve((linalg.cholesky(-H, lower=True), True), g)
+        g_dot_step = float(g @ step)
+        alpha = 1.0
+        while alpha > _MIN_STEP:
+            candidate = theta + alpha * step
+            if radius is not None:
+                candidate = _project_ball(candidate, radius)
+            f_candidate = surface.value(candidate)
+            if f_candidate >= f + _ARMIJO * alpha * g_dot_step:
+                break
+            alpha *= 0.5
+        theta, f = candidate, f_candidate
+    raise ConvergenceError(f"Newton did not reach its tolerance in {max_iter} iterations", trace=trace)
+
+
+def _gaussian_at(mode: np.ndarray, precision: np.ndarray) -> GaussianPosterior:
+    """The Gaussian fitted at a mode: mean ``mode``, precision ``precision``."""
+    _, cov_chol, logdet = _chol_from_precision(precision)
+    return GaussianPosterior(mean=mode, chol=cov_chol, logdet=logdet)
 
 
 def posterior_general(
@@ -323,65 +366,32 @@ def posterior_general(
 ) -> SurrogatePosterior:
     """Surrogate-MAP plus Laplace-on-surrogate posterior for general degree.
 
-    Maximizes the polynomial surrogate log-posterior by Newton iteration with
-    Armijo backtracking, projecting onto the ball of ``domain_radius`` when
-    given, then fits a Gaussian at the optimum.
+    Maximizes the polynomial surrogate log-posterior with :func:`_newton`,
+    projecting onto the ball of ``domain_radius`` when given, then fits a
+    Gaussian at the optimum.
     """
     if domain_radius is not None and not domain_radius > 0:
         raise InvalidInputError(f"domain radius must be > 0, got {domain_radius}")
     surface = _surrogate_posterior_surface(stats, approx, prior)
     if stats.mapping.name == "poisson":
         _check_poisson_convexity(_approxes(stats, approx)[1])
-    d = stats.index_set.d
-    theta = prior.mean_vector(d)
+    theta = prior.mean_vector(stats.index_set.d)
     if domain_radius is not None:
         theta = _project_ball(theta, domain_radius)
-
-    hess0 = surface.hessian(theta)
-    if np.max(np.linalg.eigvalsh(hess0)) >= 0:
+    if np.max(np.linalg.eigvalsh(surface.hessian(theta))) >= 0:
         _raise_nonconcave(stats)
-
-    trace = []
-    c_armijo = 1e-4
-    converged = False
-    for it in range(_MAX_ITER):
-        g = surface.gradient(theta)
-        f0 = surface.value(theta)
-        crit = _stationarity(theta, g, domain_radius)
-        trace.append((it, f0, float(np.linalg.norm(g))))
-        if crit <= _GRAD_TOL * max(1.0, abs(f0)):
-            converged = True
-            break
-        H = surface.hessian(theta)
-        try:
-            step = linalg.cho_solve((linalg.cholesky(-H, lower=True), True), g)
-        except linalg.LinAlgError:
-            _raise_nonconcave(stats)
-        alpha = 1.0
-        g_dot_step = float(g @ step)
-        while alpha > 1e-12:
-            candidate = theta + alpha * step
-            if domain_radius is not None:
-                candidate = _project_ball(candidate, domain_radius)
-            if surface.value(candidate) >= f0 + c_armijo * alpha * g_dot_step:
-                break
-            alpha *= 0.5
-        theta = candidate
-    if not converged:
-        raise ConvergenceError(
-            f"surrogate MAP did not reach tolerance in {_MAX_ITER} iterations",
-            trace=trace,
+    try:
+        theta, H = _newton(
+            surface, theta, lambda f: _GRAD_TOL * max(1.0, abs(f)), _MAX_ITER, domain_radius
         )
-
-    H = surface.hessian(theta)
+    except linalg.LinAlgError:
+        _raise_nonconcave(stats)
     if np.max(np.linalg.eigvalsh(H)) >= 0:
         _raise_nonconcave(stats)
-    _, cov_chol, logdet = _chol_from_precision(-H)
-    laplace = GaussianPosterior(mean=theta.copy(), chol=cov_chol, logdet=logdet)
     return SurrogatePosterior(
         surface=surface,
         map_estimate=theta,
-        laplace=laplace,
+        laplace=_gaussian_at(theta.copy(), -H),
         domain_radius=domain_radius,
     )
 

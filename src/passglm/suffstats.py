@@ -642,6 +642,6 @@ def save_stats(stats: SuffStats, path) -> None:
         fh.write(serialize(stats))
 
 
-def load_stats(path, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
+def load_stats(path) -> SuffStats:
     with open(path, "rb") as fh:
-        return deserialize(fh.read(), cap=cap)
+        return deserialize(fh.read())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from passglm import baselines
 from passglm.baselines import (
     ChainOutput,
     MalaConfig,
@@ -13,7 +14,7 @@ from passglm.baselines import (
     sgd,
     split_rhat,
 )
-from passglm.errors import DivergenceError, InvalidInputError
+from passglm.errors import ConvergenceError, DivergenceError, InvalidInputError
 from passglm.mappings import log_likelihood_grad, mapping_logit
 from passglm.metrics import test_nll as eval_nll
 from passglm.posterior import PriorSpec
@@ -48,6 +49,15 @@ class TestLaplace:
         np.testing.assert_allclose(post.mean, theta, atol=1e-12)
         grad = log_likelihood_grad(mapping_logit(), post.mean, (y, X)) - 0.25 * post.mean
         assert np.linalg.norm(grad) <= 1e-8
+
+    def test_iteration_cap_raises_with_a_trace(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        y, X = logistic_instance(rng, 2, 200, np.array([1.5, -1.0]))
+        monkeypatch.setattr(baselines, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="in 1 iterations") as info:
+            exact_map(mapping_logit(), PriorSpec.gaussian(4.0), (y, X))
+        ((step, value, grad_norm),) = info.value.trace
+        assert step == 0 and np.isfinite(value) and grad_norm > 1e-8
 
     def test_covariance_close_to_grid_truth(self):
         rng = np.random.default_rng(2)

@@ -462,12 +462,19 @@ class TestUnusableOptions:
               "--eta0", -1, "--out", "{tmp}/out.json"], "eta0 must be finite and > 0"),
             (["baseline", "--method", "sgd", "--input", "{data}", "--model", "logit",
               "--eta0", "nan", "--out", "{tmp}/out.json"], "eta0 must be finite and > 0"),
+            (["synth", "--model", "logit", "--dim", 2, "--n", 5, "--seed", -1,
+              "--out", "{tmp}/out.svm"], "seed must be >= 0, got -1"),
+            (["baseline", "--method", "sgd", "--input", "{data}", "--model", "logit",
+              "--seed", -1, "--out", "{tmp}/out.json"], "seed must be >= 0, got -1"),
+            (["baseline", "--method", "mala", "--input", "{data}", "--model", "logit",
+              "--iters", 100, "--seed", -1, "--out", "{tmp}/out.json"], "seed must be >= 0, got -1"),
         ],
         ids=["prior not a number", "prior nan", "theta not a number", "theta nan", "theta inf",
              "theta length", "negative n", "synth to 0", "project to 0", "fit missing",
              "stats build missing", "stats merge missing", "project missing", "eval missing",
              "domain radius negative", "domain radius 0", "domain radius nan", "chains 0",
-             "chains negative", "eta0 negative", "eta0 nan"],
+             "chains negative", "eta0 negative", "eta0 nan", "synth seed negative",
+             "sgd seed negative", "mala seed negative"],
     )
     def test_exits_2_with_an_error_line(self, dataset, tmp_path, capsys, argv, message):
         path, _, _ = dataset

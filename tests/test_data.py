@@ -628,6 +628,13 @@ class TestStreams:
         build_stats(stream, mapping_logit(), 2, 4.0)
         assert stream.passes == 1
 
+    @pytest.mark.filterwarnings("ignore:covariate 2-norm exceeds 1")
+    def test_views_count_a_pass_on_every_stream_below(self):
+        base = SyntheticStream("logit", 3, 100, seed=1, theta_true=np.zeros(3))
+        view = project(base.shard(0, 2), ProjectionSpec(seed=0, input_dim=3, output_dim=2))
+        build_stats(view, mapping_logit(), 2, 4.0)
+        assert (view.passes, view.base.passes, base.passes) == (1, 1, 1)
+
     def test_replay_increments_counter(self):
         stream = SyntheticStream("logit", 3, 100, seed=1, theta_true=np.zeros(3))
         list(stream.batches())

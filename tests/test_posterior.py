@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from passglm.chebyshev import fit_chebyshev
+from passglm import posterior
 from passglm.errors import (
+    ConvergenceError,
     InvalidInputError,
     NonConcaveError,
     PathologicalApproximationError,
@@ -290,6 +292,15 @@ class TestPosteriorGeneral:
         grad = post.surface.gradient(post.map_estimate)
         f = abs(post.surface.value(post.map_estimate))
         assert np.linalg.norm(grad) <= 1e-8 * max(1.0, f)
+
+    def test_iteration_cap_raises_with_a_trace(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        stats = lr2_stats(*logistic_instance(rng, 2, 300, np.array([1.0, -0.5])), M=6)
+        monkeypatch.setattr(posterior, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="in 1 iterations") as info:
+            posterior_general(stats, None, PriorSpec.gaussian(4.0))
+        ((step, value, grad_norm),) = info.value.trace
+        assert step == 0 and np.isfinite(value) and grad_norm > 1e-8
 
     def test_poisson_even_degree_convexity_enforced(self):
         rng = np.random.default_rng(20)
