@@ -101,7 +101,7 @@ print(
 )
 
 # --- the premise that makes it work -------------------------------------------
-hist = inner_product_histogram((y, X), lap.mean, radius=R)
+hist = inner_product_histogram(spec, (y, X), lap.mean, radius=R)
 print(
     f"\n{hist.in_range_fraction:.1%} of the label-signed inner products at the MAP "
     f"lie inside [-{R}, {R}];\nthe quadratic surrogate is only trustworthy when "

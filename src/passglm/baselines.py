@@ -239,14 +239,14 @@ def sgd(
     data,
     epochs: int,
     eta0: float = 1.0,
-    prior: PriorSpec | None = None,
+    prior: PriorSpec = PriorSpec.flat(),
     seed: int = 0,
 ) -> np.ndarray:
     """Single-sample stochastic gradient ascent on the log-posterior.
 
     The step size follows ``eta0 / (1 + eta0 * lam * t)`` with ``lam`` the
-    inverse prior variance (0 for flat/absent priors).  Records are shuffled
-    each epoch under the seed; the final iterate is returned.
+    largest prior precision (0 for the default flat prior).  Records are
+    shuffled each epoch under the seed; the final iterate is returned.
     """
     if epochs < 1:
         raise InvalidInputError("epochs must be >= 1")
@@ -255,14 +255,8 @@ def sgd(
     _check_seed(seed)
     y, X = _records(spec, data)
     n, d = X.shape
-    if prior is not None and prior.kind == "gaussian":
-        lam = float(np.max(prior.precision_diag(d)))
-        prior_mean = prior.mean_vector(d)
-        prior_prec = prior.precision_diag(d)
-    else:
-        lam = 0.0
-        prior_mean = np.zeros(d)
-        prior_prec = np.zeros(d)
+    prior_mean, prior_prec = prior.mean_vector(d), prior.precision_diag(d)
+    lam = float(np.max(prior_prec))
 
     rng = np.random.default_rng(seed)
     theta = np.zeros(d)

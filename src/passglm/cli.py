@@ -28,15 +28,15 @@ from . import chebyshev
 from .baselines import MalaConfig, laplace, mala, sgd
 from .data import (
     LibsvmStream,
+    _write_records,
     ProjectionSpec,
     build_stats,
     parse_libsvm,
     project,
     synthesize,
-    write_libsvm,
 )
 from .errors import InvalidInputError, PassGlmError
-from .mappings import MAPPING_FACTORIES, _records, get_mapping
+from .mappings import MAPPING_FACTORIES, _approximated_term, _records, get_mapping
 from .metrics import compare_posteriors, inner_product_histogram, roc_auc, test_nll
 from .posterior import GaussianPosterior, PriorSpec, posterior_general, posterior_lr2
 from .suffstats import load_stats, merge, save_stats
@@ -120,8 +120,7 @@ def _open_input(args) -> LibsvmStream:
 
 
 def cmd_approx(args) -> int:
-    # the model's first term that a polynomial does not represent exactly
-    term = next(t for t in get_mapping(args.model, args.bscale).terms if t.exact_degree is None)
+    term = _approximated_term(get_mapping(args.model, args.bscale))
     approx = chebyshev.fit_chebyshev(term.phi, args.degree, args.radius)
     bound = term.bound(args.radius, args.degree)
     payload = {
@@ -168,8 +167,7 @@ def cmd_fit(args) -> int:
     for path in args.stats[1:]:
         stats = merge(stats, load_stats(path))
     prior = PriorSpec.parse(args.prior)
-    closed_form = stats.mapping.raw_monomial and stats.index_set.M == 2
-    if closed_form and prior.kind == "gaussian" and args.domain_radius is None:
+    if stats.mapping.raw_monomial and stats.index_set.M == 2 and args.domain_radius is None:
         post = posterior_lr2(stats, None, prior)
     else:
         post = posterior_general(stats, None, prior, domain_radius=args.domain_radius)
@@ -223,7 +221,7 @@ def cmd_eval(args) -> int:
         payload["test_nll"] = test_nll(mapping, post, (y, X))
         if mapping.label_mode is not None:
             payload["auc"] = roc_auc(np.asarray(X @ post.mean), y)
-        hist = inner_product_histogram((y, X), post.mean, radius=args.radius)
+        hist = inner_product_histogram(mapping, (y, X), post.mean, radius=args.radius)
         payload["histogram"] = {
             "counts": hist.counts.tolist(),
             "edges": hist.edges.tolist(),
@@ -237,10 +235,12 @@ def cmd_eval(args) -> int:
 def cmd_project(args) -> int:
     base = parse_libsvm(args.input, d=args.input_dim)
     spec = ProjectionSpec(seed=args.seed, input_dim=base.d, output_dim=args.dim)
-    projected = project(base, spec)
-    y, X = projected.materialize()
-    write_libsvm(args.output, y, X)
-    log.info("projected %d records from d=%d to d=%d", len(y), base.d, args.dim)
+    count = 0
+    with open(args.output, "w") as fh:
+        for y, X in project(base, spec).batches():
+            _write_records(fh, y, X)
+            count += len(y)
+    log.info("projected %d records from d=%d to d=%d", count, base.d, args.dim)
     return 0
 
 

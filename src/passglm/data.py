@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidInputError, NumericError, PassGlmError
-from .mappings import MappingSpec, _csr_is_smaller, _dense, get_mapping
+from .mappings import MappingSpec, _binary_labels, _csr_is_smaller, _dense, get_mapping
 from .suffstats import SuffStats, enumerate_indices, deserialize, new_stats, serialize
 
 __all__ = [
@@ -75,9 +75,6 @@ class RecordStream:
     def shard(self, index: int, count: int) -> "RecordStream":
         """Round-robin sub-stream containing records ``index, index+count, ...``."""
         return _RoundRobinView(self, index, count)
-
-    def __len__(self):
-        raise TypeError(f"{type(self).__name__} has no known length")
 
 
 class _RoundRobinView(RecordStream):
@@ -212,28 +209,28 @@ def _parse_window(lines: list[str]):
 class LibsvmStream(RecordStream):
     """Streaming reader of libsvm/svmlight files.
 
-    Labels may be remapped for binary models (``labels="pm1"`` or ``"01"``);
-    1-based file indices become 0-based.  In strict mode a malformed line
-    aborts with its line number; in lenient mode it is skipped and counted.
+    Labels are read as written (``labels="raw"``) or mapped for binary
+    models (``"pm1"`` or ``"01"``) by the rule of
+    :meth:`MappingSpec.canonicalize_y`, so a label outside {-1, 0, +1} is an
+    error naming its record.  1-based file indices become 0-based.
 
     The file is read in windows of whole lines, each parsed with numpy; a
     window with a malformed line or non-ASCII text is parsed again line by
-    line by :meth:`_parse_line`, the one grammar, and the bad line is named
-    (strict) or skipped and counted (lenient).  Batches hold at most
-    ``batch_size`` rows and at most ``_BATCH_BYTES`` of dense covariates.  A
+    line by :meth:`_parse_line`, the one grammar, and the first malformed
+    line raises with its number.  Errors are raised in file order, whatever
+    the window size.  Batches hold at most ``batch_size`` rows and at most
+    ``_BATCH_BYTES`` of dense covariates.  A
     batch with fewer nonzeros than half its cells is a CSR matrix, which
     stores 16 B per nonzero against 8 B per dense cell; any other batch is a
     dense array.  Either way the rows, and the values ``toarray()`` gives,
     do not depend on the form.
     """
 
-    def __init__(self, path, d: int | None = None, labels: str = "raw", strict: bool = True):
+    def __init__(self, path, d: int | None = None, labels: str = "raw"):
         if labels not in ("raw", "pm1", "01"):
             raise InvalidInputError(f"labels must be 'raw', 'pm1' or '01', got {labels!r}")
         self.path = str(path)
         self.labels = labels
-        self.strict = strict
-        self.skipped = 0
         if d is None:
             d = self._infer_dimension()
         self.d = d
@@ -248,30 +245,35 @@ class LibsvmStream(RecordStream):
         return max_idx
 
     def _windows(self, limit: int | None = None):
-        """Yield ``(y, indptr, idx, vals)`` per window of lines; with
-        ``limit``, an index at or above it is an error, raised in record order."""
-        read = 0  # lines before this window
+        """Yield ``(y, indptr, idx, vals)`` per window of lines.  A record's
+        bad label, or with ``limit`` an index at or above it, is an error,
+        raised in record order along with malformed lines."""
+        read = records = 0  # lines and records before this window
         with open(self.path, "r") as fh:
             while lines := fh.readlines(_WINDOW_CHARS):
-                window = _parse_window(lines)
+                window, error = _parse_window(lines), None
                 if window is None:
-                    window = self._reparse(lines, read, limit)
+                    window, error = self._reparse(lines, read)
                 y, indptr, idx, vals = window
                 if limit is not None and np.any(idx >= limit):
                     # the first record holding one; its last index is its largest
                     rec = np.searchsorted(indptr, np.argmax(idx >= limit), side="right") - 1
-                    _check_limit(idx[indptr[rec + 1] - 1], limit)
-                if self.labels == "pm1":
-                    y = np.where(y > 0, 1.0, -1.0)
-                elif self.labels == "01":
-                    y = np.where(y > 0, 1.0, 0.0)
+                    top = int(idx[indptr[rec + 1] - 1])
+                    error = InvalidInputError(f"index {top + 1} exceeds declared dimension {limit}")
+                    y = y[:rec]
+                if self.labels != "raw":  # the labels before an error raise first
+                    y = _binary_labels(y, self.labels, records)
+                if error is not None:
+                    raise error
                 yield y, indptr, idx, vals
                 read += len(lines)
+                records += len(y)
 
-    def _reparse(self, lines: list[str], read: int, limit: int | None):
-        """Parse a window line by line with :meth:`_parse_line`; malformed
-        lines raise with their number (strict) or are skipped and counted."""
-        ys, idxs, vals = [], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    def _reparse(self, lines: list[str], read: int):
+        """Parse a window line by line with :meth:`_parse_line`: the records
+        before its first malformed line and the error naming that line, or
+        ``None`` when no line is malformed."""
+        ys, idxs, vals, error = [], [np.empty(0, dtype=np.int64)], [np.empty(0)], None
         for lineno, line in enumerate(lines, start=read + 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -279,19 +281,13 @@ class LibsvmStream(RecordStream):
             try:
                 y, idx, val = self._parse_line(line)
             except (ValueError, OverflowError) as exc:  # an index past int64 overflows
-                if self.strict:
-                    raise InvalidInputError(
-                        f"{self.path}:{lineno}: malformed record: {exc}"
-                    ) from None
-                self.skipped += 1
-                continue
-            if limit is not None and idx.size:
-                _check_limit(idx.max(), limit)
+                error = InvalidInputError(f"{self.path}:{lineno}: malformed record: {exc}")
+                break
             ys.append(y)
             idxs.append(idx)
             vals.append(val)
         indptr = np.cumsum([0] + [i.size for i in idxs[1:]], dtype=np.int64)
-        return np.array(ys, dtype=float), indptr, np.concatenate(idxs), np.concatenate(vals)
+        return (np.array(ys, dtype=float), indptr, np.concatenate(idxs), np.concatenate(vals)), error
 
     def _parse_line(self, line: str):
         parts = line.split()
@@ -383,14 +379,9 @@ class _LibsvmBatch:
         return y, X
 
 
-def _check_limit(top: int, limit: int) -> None:
-    if top >= limit:
-        raise InvalidInputError(f"index {int(top) + 1} exceeds declared dimension {limit}")
-
-
-def parse_libsvm(path, d: int | None = None, labels: str = "raw", strict: bool = True) -> LibsvmStream:
+def parse_libsvm(path, d: int | None = None, labels: str = "raw") -> LibsvmStream:
     """Open a libsvm-format file as a replayable record stream."""
-    return LibsvmStream(path, d=d, labels=labels, strict=strict)
+    return LibsvmStream(path, d=d, labels=labels)
 
 
 # Covariate cells formatted at a time by ``write_libsvm``.
@@ -403,17 +394,23 @@ def write_libsvm(path, y, X) -> None:
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != len(y):
         raise InvalidInputError(f"{len(y)} labels do not match X of shape {X.shape}")
+    with open(path, "w") as fh:
+        _write_records(fh, y, X)
+
+
+def _write_records(fh, y: np.ndarray, X: np.ndarray) -> None:
+    """Append the dense records ``(y, X)`` to the open text file ``fh`` as
+    :func:`write_libsvm` writes them."""
     # blocks of rows keep the formatted text small next to X
     step = max(1, _WRITE_CELLS // max(X.shape[1], 1))
-    with open(path, "w") as fh:
-        for lo in range(0, len(y), step):
-            block = X[lo : lo + step]
-            rows, cols = np.nonzero(block)
-            cells = [f"{j}:{v:.17g}" for j, v in zip((cols + 1).tolist(), block[rows, cols].tolist())]
-            bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
-            for i, label in enumerate(y[lo : lo + step].tolist()):
-                text = f"{int(label)}" if float(label).is_integer() else repr(float(label))
-                fh.write(" ".join([text, *cells[bounds[i] : bounds[i + 1]]]) + "\n")
+    for lo in range(0, len(y), step):
+        block = X[lo : lo + step]
+        rows, cols = np.nonzero(block)
+        cells = [f"{j}:{v:.17g}" for j, v in zip((cols + 1).tolist(), block[rows, cols].tolist())]
+        bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+        for i, label in enumerate(y[lo : lo + step].tolist()):
+            text = f"{int(label)}" if float(label).is_integer() else repr(float(label))
+            fh.write(" ".join([text, *cells[bounds[i] : bounds[i + 1]]]) + "\n")
 
 
 # --- synthetic data ----------------------------------------------------------
@@ -453,28 +450,30 @@ def synthesize_arrays(model: str, d: int, n: int, seed: int, theta_true, scale: 
 
 
 class SyntheticStream(RecordStream):
-    """Deterministic on-the-fly generator of model data; memory stays bounded
-    regardless of ``n`` because batches are produced per seeded block."""
+    """Deterministic on-the-fly generator of model data.  Records are drawn
+    in blocks of ``DEFAULT_BATCH``, block ``k`` from ``SeedSequence([seed, 1 +
+    k])``, and cut into the requested batches: memory stays bounded whatever
+    ``n`` is, and the records do not depend on the batch size."""
 
     def __init__(self, model: str, d: int, n: int, seed: int, theta_true, scale: float | None = None):
-        self.model = model
         self.d = d
         self.n = n
         self.seed = seed
-        self.scale = scale
         self.theta_true = _true_theta(theta_true, d, n, seed).copy()
         self._sample = get_mapping(model, scale).sample
 
     def _iter_batches(self, batch_size: int):
-        produced = 0
-        block = 0
-        while produced < self.n:
-            take = min(batch_size, self.n - produced)
+        y, X = np.empty(0), np.empty((0, self.d))  # drawn and not yet yielded
+        for block, lo in enumerate(range(0, self.n, DEFAULT_BATCH)):
             rng = np.random.default_rng(np.random.SeedSequence([self.seed, 1 + block]))
-            X = _ball_covariates(rng, take, self.d)
-            yield self._sample(rng, X @ self.theta_true), X
-            produced += take
-            block += 1
+            X_new = _ball_covariates(rng, min(DEFAULT_BATCH, self.n - lo), self.d)
+            y_new = self._sample(rng, X_new @ self.theta_true)
+            y, X = (np.concatenate([y, y_new]), np.vstack([X, X_new])) if len(y) else (y_new, X_new)
+            while len(y) >= batch_size:
+                yield y[:batch_size], X[:batch_size]
+                y, X = y[batch_size:], X[batch_size:]
+        if len(y):
+            yield y, X
 
     def __len__(self):
         return self.n

@@ -134,7 +134,6 @@ class MappingSpec:
     y_domain: str | None = None  # "nonnegative", "positive" or None (any finite label)
     scale: float | None = None
     raw_monomial: bool = False
-    log_concave: bool = True
     model_id: int | None = None
     sample: Callable[[np.random.Generator, np.ndarray], np.ndarray] | None = None
 
@@ -145,26 +144,38 @@ class MappingSpec:
         counted from ``first_record``.
         """
         y = np.asarray(y, dtype=float)
-        bad = ~np.isfinite(y)
-        if bad.any():
-            i = first_record + int(np.argmax(bad))
-            raise NumericError(f"non-finite label at record {i}", record_index=i)
         if self.label_mode is not None:
-            ok, rule = np.isin(y, (-1.0, 0.0, 1.0)), "binary labels must be in {-1, 0, +1}"
-        elif self.y_domain == "nonnegative":
-            ok, rule = y >= 0, f"{self.name} labels must be >= 0"
-        elif self.y_domain == "positive":
-            ok, rule = y > 0, f"{self.name} labels must be > 0"
-        else:
-            return y
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise InvalidInputError(f"{rule}; record {first_record + i} has label {y[i]:g}")
-        if self.label_mode == "pm1":
-            return np.where(y > 0, 1.0, -1.0)
-        if self.label_mode == "01":
-            return np.where(y > 0, 1.0, 0.0)
-        return y
+            return _binary_labels(y, self.label_mode, first_record)
+        if self.y_domain == "nonnegative":
+            return _checked_labels(y, first_record, y >= 0, f"{self.name} labels must be >= 0")
+        if self.y_domain == "positive":
+            return _checked_labels(y, first_record, y > 0, f"{self.name} labels must be > 0")
+        return _checked_labels(y, first_record)
+
+
+def _checked_labels(y, first_record: int, ok=True, rule: str = "") -> np.ndarray:
+    """``y`` as floats once every label is finite and ``ok`` holds for it;
+    else the first bad label raises naming its record, counted from
+    ``first_record``: :class:`NumericError` if not finite, else
+    :class:`InvalidInputError` with ``rule``."""
+    y = np.asarray(y, dtype=float)
+    good = np.isfinite(y) & ok
+    if not good.all():
+        i = int(np.argmin(good))
+        record = first_record + i
+        if not np.isfinite(y[i]):
+            raise NumericError(f"non-finite label at record {record}", record_index=record)
+        raise InvalidInputError(f"{rule}; record {record} has label {y[i]:g}")
+    return y
+
+
+def _binary_labels(y, label_mode: str, first_record: int = 0) -> np.ndarray:
+    """Labels in {-1, 0, +1} in ``label_mode``: +1 stays 1, and -1 and 0
+    become -1 (``"pm1"``) or 0 (``"01"``); any other label raises
+    (:func:`_checked_labels`)."""
+    ok = np.isin(y, (-1.0, 0.0, 1.0))
+    y = _checked_labels(y, first_record, ok, "binary labels must be in {-1, 0, +1}")
+    return np.where(y > 0, 1.0, -1.0 if label_mode == "pm1" else 0.0)
 
 
 def _sigmoid(s):
@@ -188,7 +199,6 @@ def mapping_logit() -> MappingSpec:
         ),
         label_mode="pm1",
         raw_monomial=True,
-        log_concave=True,
         model_id=1,
         sample=lambda rng, s: np.where(rng.random(s.size) < 1.0 / (1.0 + np.exp(-s)), 1.0, -1.0),
     )
@@ -216,7 +226,6 @@ def mapping_poisson() -> MappingSpec:
         ),
         log_base=lambda y: -special.gammaln(np.asarray(y, dtype=float) + 1.0),
         y_domain="nonnegative",
-        log_concave=True,
         model_id=2,
         sample=lambda rng, s: rng.poisson(np.exp(s)).astype(float),
     )
@@ -251,7 +260,6 @@ def mapping_shuber(b: float = 1.0) -> MappingSpec:
             ),
         ),
         scale=b,
-        log_concave=True,
         model_id=3,
         sample=lambda rng, s: s + _sample_smoothed_huber_noise(rng, s.size, b),
     )
@@ -295,7 +303,6 @@ def mapping_cauchy(b: float = 1.0) -> MappingSpec:
         name="cauchy",
         terms=(Term(phi=phi, dphi=dphi, d2phi=d2phi, y_offset=1.0),),
         scale=b,
-        log_concave=False,
         model_id=4,
         sample=lambda rng, s: s + b * rng.standard_cauchy(s.size),
     )
@@ -337,7 +344,6 @@ def mapping_gamma(nu: float = 1.0) -> MappingSpec:
         log_base=log_base,
         y_domain="positive",
         scale=nu,
-        log_concave=True,
         model_id=5,
         sample=lambda rng, s: rng.gamma(shape=nu, scale=np.exp(s) / nu),
     )
@@ -383,7 +389,6 @@ def mapping_probit() -> MappingSpec:
             Term(phi=phi2, dphi=dphi2, d2phi=d2phi2, y_power=1),
         ),
         label_mode="01",
-        log_concave=True,
         model_id=6,
         sample=lambda rng, s: (rng.random(s.size) < special.ndtr(s)).astype(float),
     )
@@ -434,18 +439,11 @@ def _dense(X):
 # --- exact likelihood: the one place terms are evaluated --------------------
 
 
-def _materialize(data) -> tuple[np.ndarray, np.ndarray]:
-    """All of a record source as dense ``(y, X)``: a stream or a ``(y, X)`` pair."""
-    if hasattr(data, "materialize"):
-        return data.materialize()
-    y, X = data
-    return np.asarray(y, dtype=float), _dense(X)
-
-
 def _records(spec: MappingSpec, data) -> tuple[np.ndarray, np.ndarray]:
-    """All of a record source as dense ``(y, X)`` with the labels mapped to
-    ``spec``'s convention; a label outside its domain raises, naming its record."""
-    y, X = _materialize(data)
+    """All of a record source, a stream or a ``(y, X)`` pair, as dense
+    ``(y, X)`` with the labels mapped to ``spec``'s convention; a label
+    outside its domain raises, naming its record."""
+    y, X = data.materialize() if hasattr(data, "materialize") else (data[0], _dense(data[1]))
     return spec.canonicalize_y(y), X
 
 
@@ -454,6 +452,12 @@ def _term_args(term: Term, y: np.ndarray, s: np.ndarray) -> np.ndarray:
     if term.y_offset:
         arg = arg - term.y_offset * y
     return arg
+
+
+def _approximated_term(spec: MappingSpec) -> Term:
+    """The first term of ``spec`` that a polynomial does not represent
+    exactly (the first term when every one is a polynomial)."""
+    return next((t for t in spec.terms if t.exact_degree is None), spec.terms[0])
 
 
 def _loglik_derivs(

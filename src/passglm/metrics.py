@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, MetricError
-from .mappings import MappingSpec, _materialize, _records, batch_log_likelihood
+from .mappings import MappingSpec, _approximated_term, _records, _term_args, batch_log_likelihood
 
 __all__ = [
     "EvalReport",
@@ -35,17 +35,9 @@ class EvalReport:
     mean_err: float
     var_err: float
     w2: float
-    test_nll: float | None = None
-    auc: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "mean_err": self.mean_err,
-            "var_err": self.var_err,
-            "w2": self.w2,
-            "test_nll": self.test_nll,
-            "auc": self.auc,
-        }
+        return {"mean_err": self.mean_err, "var_err": self.var_err, "w2": self.w2}
 
 
 def _as_gaussian_summary(g) -> tuple[np.ndarray, np.ndarray]:
@@ -150,37 +142,41 @@ def roc_auc(scores, labels) -> float:
 
 @dataclass(frozen=True)
 class InnerProductHistogram:
-    """Histogram of the label-signed linear predictors and the fraction of
-    records whose predictor falls inside the approximation interval."""
+    """Histogram of the approximated term's arguments and the fraction of
+    records whose argument falls inside the approximation interval."""
 
     counts: np.ndarray
     edges: np.ndarray
     in_range_fraction: float
     radius: float
-    n: int
+
+
+def _term_range(spec: MappingSpec, y: np.ndarray, s: np.ndarray, radius: float):
+    """The arguments of ``spec``'s approximated term at the linear predictors
+    ``s``, and the fraction of them inside ``[-radius, radius]``."""
+    args = _term_args(_approximated_term(spec), y, s)
+    return args, float(np.mean(np.abs(args) <= radius))
 
 
 def inner_product_histogram(
-    data, theta, radius: float = 4.0, bins: int = 50
+    spec: MappingSpec, data, theta, radius: float = 4.0, bins: int = 50
 ) -> InnerProductHistogram:
-    """Histogram ``y_n (x_n . theta)`` and check the premise that the mass
-    stays within ``[-radius, radius]``.
+    """Histogram the arguments of ``spec``'s first term that a polynomial
+    does not represent exactly, such as ``y_n (x_n . theta)`` for logit or
+    ``x_n . theta - y_n`` for shuber, and check the premise that they stay
+    within ``[-radius, radius]``.  Labels are read as for :func:`test_nll`.
 
     Emits a warning when fewer than half the records are in range, which
     signals that the polynomial approximation interval is badly matched to
     the data.
     """
-    theta = np.asarray(theta, dtype=float)
-    y, X = _materialize(data)
-    s = np.asarray(X @ theta).ravel() * np.where(np.asarray(y) > 0, 1.0, -1.0)
-    counts, edges = np.histogram(s, bins=bins)
-    fraction = float(np.mean(np.abs(s) <= radius))
+    y, X = _records(spec, data)
+    args, fraction = _term_range(spec, y, X @ np.asarray(theta, dtype=float), radius)
+    counts, edges = np.histogram(args, bins=bins)
     if fraction < 0.5:
         warnings.warn(
             f"only {fraction:.1%} of inner products fall inside [-{radius}, {radius}]; "
             "the polynomial approximation is unlikely to be adequate",
             stacklevel=2,
         )
-    return InnerProductHistogram(
-        counts=counts, edges=edges, in_range_fraction=fraction, radius=radius, n=len(s)
-    )
+    return InnerProductHistogram(counts=counts, edges=edges, in_range_fraction=fraction, radius=radius)

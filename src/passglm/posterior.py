@@ -1,9 +1,10 @@
 """Approximate posteriors built from polynomial sufficient statistics.
 
-For the degree-2 logistic surrogate with a Gaussian prior the posterior is an
-exact Gaussian with closed-form mean and covariance.  For every other
-supported case the surrogate log-posterior is a polynomial in the parameter;
-its mode is found by Newton iteration and a Gaussian is fitted at the mode.
+For the degree-2 logistic surrogate with a Gaussian or flat prior the
+posterior is an exact Gaussian with closed-form mean and covariance.  For
+every other supported case the surrogate log-posterior is a polynomial in the
+parameter; its mode is found by Newton iteration and a Gaussian is fitted at
+the mode.
 ``_newton`` is the package's one Newton solver: it also finds the exact MAP
 of the Laplace baseline (``baselines.exact_map``), and ``_gaussian_at`` fits
 the Gaussian at both modes.
@@ -34,6 +35,7 @@ from .errors import (
     PathologicalApproximationError,
 )
 from .mappings import _records, _term_args, log_likelihood_hess
+from .metrics import _term_range
 from .suffstats import MultiIndexSet, SuffStats, enumerate_indices
 
 __all__ = [
@@ -51,22 +53,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Gaussian (diagonal-covariance) or flat improper prior on the parameter."""
+    """Gaussian prior on the parameter with diagonal ``precision``; ``mean``
+    and ``precision`` are scalars or length-``d`` vectors.  The flat improper
+    prior is its zero-precision limit, so every fit treats both alike."""
 
-    kind: str  # "gaussian" or "flat"
-    mean: np.ndarray | None = None
-    variance: np.ndarray | float | None = None
+    mean: np.ndarray | float = 0.0
+    precision: np.ndarray | float = 0.0
 
     @staticmethod
     def gaussian(variance: float | np.ndarray, mean: np.ndarray | float = 0.0) -> "PriorSpec":
         v = np.asarray(variance, dtype=float)
         if not np.all(v > 0):
             raise InvalidInputError(f"prior variance must be positive, got {variance}")
-        return PriorSpec(kind="gaussian", mean=np.asarray(mean, dtype=float), variance=v)
+        return PriorSpec(mean=np.asarray(mean, dtype=float), precision=1.0 / v)
 
     @staticmethod
     def flat() -> "PriorSpec":
-        return PriorSpec(kind="flat")
+        return PriorSpec()
 
     @staticmethod
     def parse(text: str) -> "PriorSpec":
@@ -82,23 +85,16 @@ class PriorSpec:
         raise InvalidInputError(f"cannot parse prior {text!r}")
 
     def mean_vector(self, d: int) -> np.ndarray:
-        if self.kind == "flat" or self.mean is None:
-            return np.zeros(d)
         return np.broadcast_to(np.asarray(self.mean, dtype=float), (d,)).copy()
 
     def precision_diag(self, d: int) -> np.ndarray:
         """Diagonal of the prior precision (zeros for the flat prior)."""
-        if self.kind == "flat":
-            return np.zeros(d)
-        return np.broadcast_to(1.0 / np.asarray(self.variance, dtype=float), (d,)).copy()
+        return np.broadcast_to(np.asarray(self.precision, dtype=float), (d,)).copy()
 
     def log_density(self, theta: np.ndarray) -> float:
-        if self.kind == "flat":
-            return 0.0
-        d = theta.size
-        prec = self.precision_diag(d)
-        diff = theta - self.mean_vector(d)
-        return -0.5 * float(prec @ (diff * diff))
+        """Unnormalized log-density: ``-(theta - mean)' P (theta - mean) / 2``."""
+        diff = theta - self.mean_vector(theta.size)
+        return -0.5 * float(self.precision_diag(theta.size) @ (diff * diff))
 
 
 @dataclass(frozen=True)
@@ -202,8 +198,6 @@ def posterior_lr2(stats: SuffStats, approx: PolyApprox | None, prior: PriorSpec)
         raise InvalidInputError("closed-form path requires raw logistic statistics")
     if stats.index_set.M != 2:
         raise InvalidInputError("closed-form path requires degree M = 2")
-    if prior.kind != "gaussian":
-        raise InvalidInputError("closed-form path requires a Gaussian prior")
     b = _approxes(stats, approx)[0].b
     if b[2] >= 0:
         raise PathologicalApproximationError(
@@ -292,19 +286,15 @@ def _surrogate_posterior_surface(
     stats: SuffStats, approx: PolyApprox | None, prior: PriorSpec
 ) -> PolySurface:
     lik_coef = surrogate_loglik_coefficients(stats, approx)
-    d = stats.index_set.d
-    M = stats.index_set.M
-    target_M = max(M, 2) if prior.kind == "gaussian" else M
+    d, M = stats.index_set.d, stats.index_set.M
     # a lower-degree index set is a prefix of a higher-degree one
-    iset = stats.index_set if target_M == M else enumerate_indices(d, target_M)
+    iset = stats.index_set if M >= 2 else enumerate_indices(d, 2)
     coef = np.zeros(len(iset))
     coef[: len(lik_coef)] = lik_coef
-    if prior.kind == "gaussian":
-        prec = prior.precision_diag(d)
-        mean = prior.mean_vector(d)
-        coef[0] += -0.5 * float(prec @ (mean * mean))
-        coef[1 : d + 1] += prec * mean
-        coef[iset.up[1 + np.arange(d), np.arange(d)]] += -0.5 * prec
+    prec, mean = prior.precision_diag(d), prior.mean_vector(d)
+    coef[0] += -0.5 * float(prec @ (mean * mean))
+    coef[1 : d + 1] += prec * mean
+    coef[iset.up[1 + np.arange(d), np.arange(d)]] += -0.5 * prec
     return PolySurface(iset, coef)
 
 
@@ -453,15 +443,10 @@ class MapCertificate:
     measured_sq: float
     in_range_fraction: float
     premises: dict = field(default_factory=dict)
-    surrogate_map: np.ndarray | None = None
 
     @property
     def premises_ok(self) -> bool:
         return all(self.premises.values())
-
-    @property
-    def holds(self) -> bool:
-        return self.measured_sq <= self.bound
 
 
 # Share of term arguments inside [-R, R] at which the range premise counts as held.
@@ -481,23 +466,20 @@ def map_error_certificate(
     the mapping over the observed inner-product range at the exact MAP (an
     empirical, not certified, stand-in for the uniform premise).  ``rho_n``
     is the smallest Hessian eigenvalue of the exact negative log-posterior at
-    the exact MAP.  Premise failures are flagged, never fatal.
+    the exact MAP.  The range premise is read on the approximated term, as
+    ``inner_product_histogram`` reads it.  Premise failures are flagged,
+    never fatal.
     """
     exact_map = np.asarray(exact_map, dtype=float)
     mapping = stats.mapping
-    d = exact_map.size
-
     y, X = _records(mapping, data)
     s = X @ exact_map
 
+    _, in_range = _term_range(mapping, y, s, stats.radius)
     eps_n = 0.0
-    worst_fraction = 1.0
     n = len(y)
     for term, term_approx in zip(mapping.terms, _approxes(stats, approx)):
         arg = _term_args(term, y, s)
-        worst_fraction = min(
-            worst_fraction, float(np.mean(np.abs(arg) <= stats.radius))
-        )
         if term.exact_degree is not None and term.exact_degree <= stats.index_set.M:
             continue
         span = max(float(np.max(np.abs(arg))), 1e-12)
@@ -507,10 +489,10 @@ def map_error_certificate(
         eps_n += n * weight * err
 
     hess = log_likelihood_hess(mapping, exact_map, (y, X))
-    neg_log_post_hess = -hess + np.diag(prior.precision_diag(d))
+    neg_log_post_hess = -hess + np.diag(prior.precision_diag(exact_map.size))
     rho_n = float(np.min(np.linalg.eigvalsh(neg_log_post_hess)))
 
-    if stats.mapping.raw_monomial and stats.index_set.M == 2 and prior.kind == "gaussian":
+    if stats.mapping.raw_monomial and stats.index_set.M == 2:
         surrogate_map = posterior_lr2(stats, approx, prior).mean
     else:
         surrogate_map = posterior_general(stats, approx, prior).map_estimate
@@ -518,16 +500,14 @@ def map_error_certificate(
     measured = float(np.sum((exact_map - surrogate_map) ** 2))
     bound = math.inf if rho_n <= 0 else 4.0 * eps_n / rho_n
     premises = {
-        "inner_products_in_range": worst_fraction >= _IN_RANGE_THRESHOLD,
+        "inner_products_in_range": in_range >= _IN_RANGE_THRESHOLD,
         "posterior_strongly_log_concave_at_map": rho_n > 0,
-        "prior_log_concave": prior.kind in ("gaussian", "flat"),
     }
     return MapCertificate(
         eps_n=eps_n,
         rho_n=rho_n,
         bound=bound,
         measured_sq=measured,
-        in_range_fraction=worst_fraction,
+        in_range_fraction=in_range,
         premises=premises,
-        surrogate_map=surrogate_map,
     )

@@ -120,11 +120,6 @@ class MultiIndexSet:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiIndexSet) and self.d == other.d and self.M == other.M
-        )
-
     @cached_property
     def _tails(self) -> np.ndarray:
         """``_tails[a, k]``: the number of nondecreasing ``k``-tuples of the

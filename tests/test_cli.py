@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import passglm.data as data
 from passglm.cli import _gaussian_from_json, build_parser, main
-from passglm.data import ArrayStream, build_stats, parse_libsvm, write_libsvm
+from passglm.data import ArrayStream, ProjectionSpec, build_stats, parse_libsvm, project, write_libsvm
 from passglm.chebyshev import fit_chebyshev
 from passglm.mappings import fit_terms, get_mapping, mapping_cauchy, mapping_logit
 from passglm.posterior import PriorSpec, posterior_lr2
@@ -253,6 +255,18 @@ class TestFitAndEval:
         expected = posterior_lr2(stats, approx, PriorSpec.gaussian(4.0))
         np.testing.assert_allclose(doc["mean"], expected.mean, rtol=1e-12)
 
+    def test_fit_flat_prior_takes_the_closed_form(self, dataset, tmp_path):
+        path, y, X = dataset
+        stats_path, post_path = tmp_path / "stats.pglm", tmp_path / "posterior.json"
+        run("stats", "build", "--input", path, "--model", "logit", "--degree", 2,
+            "--radius", 4, "--dim", 3, "--out", stats_path)
+        assert run("fit", "--stats", stats_path, "--prior", "flat", "--out", post_path) == 0
+        doc = json.loads(post_path.read_text())
+        assert doc["kind"] == "gaussian"
+        expected = posterior_lr2(build_stats(ArrayStream(y, X), mapping_logit(), 2, 4.0), None, PriorSpec.flat())
+        assert doc["mean"] == expected.mean.tolist()
+        assert doc["chol_lower"] == expected.chol.ravel().tolist()
+
     def test_fit_document_reads_back_bit_identical(self, dataset, tmp_path):
         path, _, _ = dataset
         stats_path = tmp_path / "stats.pglm"
@@ -309,6 +323,9 @@ class TestFitAndEval:
         assert 0.0 <= doc["auc"] <= 1.0
         assert doc["test_nll"] > 0
         assert doc["histogram"]["in_range_fraction"] >= 0.98
+        assert run("eval", "--posterior", post_path, "--reference", ref_path, "--out", report_path) == 0
+        doc = json.loads(report_path.read_text())
+        assert sorted(doc) == ["mean_err", "schema_version", "var_err", "w2"]
 
     def test_pathological_fit_fails_cleanly(self, dataset, tmp_path, capsys):
         path, _, _ = dataset
@@ -406,6 +423,37 @@ class TestProjectAndSynth:
         stream = parse_libsvm(projected, d=10)
         y, X = stream.materialize()
         assert X.shape == (200, 10)
+
+    def test_project_writes_the_projected_records(self, tmp_path):
+        raw, projected, oracle = tmp_path / "raw.svm", tmp_path / "proj.svm", tmp_path / "oracle.svm"
+        assert run("synth", "--model", "logit", "--dim", 20, "--n", 9000, "--seed", 3, "--out", raw) == 0
+        assert run("project", "--input", raw, "--output", projected, "--dim", 7, "--seed", 4) == 0
+        spec = ProjectionSpec(seed=4, input_dim=20, output_dim=7)
+        write_libsvm(oracle, *project(parse_libsvm(raw), spec).materialize())
+        assert projected.read_bytes() == oracle.read_bytes()
+
+    def test_project_memory_does_not_grow_with_the_input(self, tmp_path, monkeypatch):
+        # each batch of 8,192 records is written as it arrives, so twice the
+        # records take no more memory once both inputs span two batches (and,
+        # with small parse windows, many windows)
+        monkeypatch.setattr(data, "_WINDOW_CHARS", 1 << 14)
+        rng = np.random.default_rng(5)
+        peaks = []
+        for n in (17_000, 34_000):
+            raw = tmp_path / f"raw{n}.svm"
+            cols = rng.integers(1, 1001, (n, 2))
+            raw.write_text("".join(
+                "1 " + " ".join(f"{j}:1" for j in sorted(set(row))) + "\n" for row in cols.tolist()
+            ))
+            tracemalloc.start()
+            try:
+                assert run("project", "--input", raw, "--output", tmp_path / "out.svm",
+                           "--dim", 50, "--input-dim", 1000) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        dense = 34_000 * 50 * 8  # the bytes of the whole projected input
+        assert peaks[1] <= 1.1 * peaks[0] and peaks[1] < dense
 
     def test_threads_flag_is_gone(self, monkeypatch):
         monkeypatch.setenv("PASSGLM_THREADS", "3")

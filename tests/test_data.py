@@ -105,21 +105,27 @@ class TestParseLibsvm:
         with pytest.raises(InvalidInputError, match=r"399 labels do not match X of shape \(400, 7\)"):
             write_libsvm(tmp_path / "short.svm", y[:-1], X)
 
-    def test_malformed_line_strict(self, tmp_path):
+    def test_malformed_line_names_its_line(self, tmp_path):
         path = tmp_path / "d.svm"
-        path.write_text("+1 1:0.5\n+1 oops\n")
-        stream = parse_libsvm(path, d=2, strict=True)
+        path.write_text("+1 1:0.5\n+1 oops\n-1 2:1.0\n")
+        stream = parse_libsvm(path, d=2)
         with pytest.raises(InvalidInputError, match=":2"):
             stream.materialize()
 
-    def test_malformed_line_lenient_counts_skips(self, tmp_path):
-        path = tmp_path / "e.svm"
-        path.write_text("+1 1:0.5\n+1 oops\n-1 2:1.0\n")
-        stream = parse_libsvm(path, d=2, strict=False)
-        y, X = stream.materialize()
-        np.testing.assert_array_equal(y, [1.0, -1.0])
-        np.testing.assert_array_equal(X, [[0.5, 0.0], [0.0, 1.0]])
-        assert stream.skipped == 1
+    def test_binary_modes_read_only_binary_labels(self, tmp_path):
+        path = tmp_path / "labels.svm"
+        path.write_text("1 1:1\n0 1:1\n-1 1:1\n")
+        assert parse_libsvm(path, d=1, labels="pm1").materialize()[0].tolist() == [1, -1, -1]
+        assert parse_libsvm(path, d=1, labels="01").materialize()[0].tolist() == [1, 0, 0]
+        path.write_text("1 1:1\n# note\n2 1:1\n")
+        for labels in ("pm1", "01"):
+            with pytest.raises(InvalidInputError, match=r"\{-1, 0, \+1\}; record 1 has label 2"):
+                parse_libsvm(path, d=1, labels=labels).materialize()
+        assert parse_libsvm(path, d=1).materialize()[0].tolist() == [1, 2]  # raw: as written
+        path.write_text("1 1:1\nnan 1:1\n")
+        with pytest.raises(NumericError, match="non-finite label at record 1") as info:
+            parse_libsvm(path, labels="pm1")  # dimension inference reads the labels too
+        assert info.value.record_index == 1
 
     def test_nonincreasing_indices_rejected(self, tmp_path):
         path = tmp_path / "f.svm"
@@ -143,13 +149,17 @@ class TestParseLibsvm:
             list(parse_libsvm(path, d=3).batches(batch_size=1))
 
 
+# label -> the label a binary mode reads; any other label is an error
+REMAP = {"raw": None, "pm1": {1.0: 1.0, 0.0: -1.0, -1.0: -1.0}, "01": {1.0: 1.0, 0.0: 0.0, -1.0: 0.0}}
+
+
 def line_oracle(stream):
     """What a line-at-a-time read of ``stream``'s file gives: the records of
-    ``_parse_line`` with labels remapped, the strict-mode error message (or
-    None) and the lenient skip count."""
-    remap = {"raw": lambda y: y, "pm1": lambda y: 1.0 if y > 0 else -1.0,
-             "01": lambda y: 1.0 if y > 0 else 0.0}[stream.labels]
-    records, skipped = [], 0
+    ``_parse_line`` with labels remapped, and the message of the first
+    malformed line, index past ``stream.d`` or bad label (or None).  A binary
+    mode reads only the labels -1, 0 and +1; a non-finite label and any other
+    one are errors naming their record."""
+    remap, records = REMAP[stream.labels], []
     with open(stream.path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -157,12 +167,17 @@ def line_oracle(stream):
                 continue
             try:
                 y, idx, vals = stream._parse_line(line)
-                records.append((remap(y), idx, vals))
             except (ValueError, OverflowError) as exc:
-                if stream.strict:
-                    return records, f"{stream.path}:{lineno}: malformed record: {exc}", 0
-                skipped += 1
-    return records, None, skipped
+                return records, f"{stream.path}:{lineno}: malformed record: {exc}"
+            if idx.size and idx[-1] >= stream.d:
+                return records, f"index {idx[-1] + 1} exceeds declared dimension {stream.d}"
+            if remap is not None and y not in remap:
+                k = len(records)
+                if not math.isfinite(y):
+                    return records, f"non-finite label at record {k}"
+                return records, f"binary labels must be in {{-1, 0, +1}}; record {k} has label {y:g}"
+            records.append((y if remap is None else remap[y], idx, vals))
+    return records, None
 
 
 def window_records(stream):
@@ -245,21 +260,24 @@ class TestWindowParser:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=libsvm_text(), labels=st.sampled_from(["raw", "pm1", "01"]),
-           strict=st.booleans(), window=st.sampled_from([1, 40, 1 << 20]))
-    @example(text="1 -9223372036854775808:1\n", labels="raw", strict=True, window=1 << 20)
-    def test_equals_line_parser(self, tmp_path, monkeypatch, text, labels, strict, window):
+           window=st.sampled_from([1, 40, 1 << 20]), d=st.sampled_from([31, 31, 25]))
+    @example(text="1 -9223372036854775808:1\n", labels="raw", window=1 << 20, d=31)
+    @example(text="1 1:1\n2 2:1\n1 x\n", labels="pm1", window=1 << 20, d=31)
+    @example(text="1 1:1\nnan 2:1\n", labels="01", window=1, d=31)
+    @example(text="3 26:1\n1 x\n", labels="pm1", window=1 << 20, d=25)
+    @example(text="3 1:1\n1 26:1\n", labels="pm1", window=1 << 20, d=25)
+    def test_equals_line_parser(self, tmp_path, monkeypatch, text, labels, window, d):
         path = tmp_path / "h.svm"
         path.write_bytes(text.encode("utf-8"))
         monkeypatch.setattr(data, "_WINDOW_CHARS", window)
-        stream = LibsvmStream(path, d=31, labels=labels, strict=strict)
-        want, error, skipped = line_oracle(stream)
+        stream = LibsvmStream(path, d=d, labels=labels)
+        want, error = line_oracle(stream)
         if error is not None:
-            with pytest.raises(InvalidInputError) as info:
+            with pytest.raises(PassGlmError) as info:
                 list(window_records(stream))
             assert str(info.value) == error
             return
         got = list(window_records(stream))
-        assert stream.skipped == skipped
         assert len(got) == len(want)
         for (y, idx, vals), (wy, widx, wvals) in zip(got, want):
             assert bits(y) == bits(wy)
@@ -271,7 +289,7 @@ class TestWindowParser:
             assert len(yb) <= 3
             ys.append(yb)
             X.append(_dense(Xb))
-        dense = np.zeros((len(want), 31))
+        dense = np.zeros((len(want), d))
         for i, (_, widx, wvals) in enumerate(want):
             dense[i, widx] = wvals
         if want:
@@ -280,9 +298,9 @@ class TestWindowParser:
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lines=st.lists(spelled_record(), min_size=1, max_size=6), strict=st.booleans())
-    @example(lines=["1 9223372036854775808:1"], strict=True)
-    def test_index_spellings_read_as_the_line_parser_reads_them(self, tmp_path, lines, strict):
+    @given(lines=st.lists(spelled_record(), min_size=1, max_size=6))
+    @example(lines=["1 9223372036854775808:1"])
+    def test_index_spellings_read_as_the_line_parser_reads_them(self, tmp_path, lines):
         lines = [line + "\n" for line in lines]
         plain = all(
             re.fullmatch("[0-9]{1,18}", tok.split(":")[0]) for line in lines for tok in line.split()[1:]
@@ -291,11 +309,11 @@ class TestWindowParser:
         assert (window is not None) == plain  # digits only: no fallback to int
         path = tmp_path / "spelled.svm"
         path.write_text("".join(lines))
-        stream = LibsvmStream(path, d=10**19, strict=strict)
-        want, error, skipped = line_oracle(stream)
+        stream = LibsvmStream(path, d=10**19)
+        want, error = line_oracle(stream)
         if window is not None:
             y, indptr, idx, vals = window
-            assert error is None and skipped == 0
+            assert error is None
             assert [bits(v) for v in y] == [bits(w[0]) for w in want]
             np.testing.assert_array_equal(indptr, np.cumsum([0] + [w[1].size for w in want]))
             np.testing.assert_array_equal(idx, np.concatenate([w[1] for w in want]))
@@ -306,7 +324,6 @@ class TestWindowParser:
             assert str(info.value) == error
             return
         got = list(window_records(stream))
-        assert stream.skipped == skipped
         assert len(got) == len(want)
         for (y, idx, vals), (wy, widx, wvals) in zip(got, want):
             assert bits(y) == bits(wy)
@@ -337,7 +354,7 @@ class TestWindowParser:
                 cells = " ".join(f"{j + 1}:{v:.17g}" for j, v in zip(cols[i], vals[i]))
                 fh.write(f"{int(y[i])} {cells}\n")
         stream = parse_libsvm(path, d=D)
-        want, _, _ = line_oracle(stream)
+        want, _ = line_oracle(stream)
         seen = 0
         # compared batch by batch: a 1,000 x 20,000 materialize is 160 MB
         for yb, Xb in stream.batches(batch_size=8192):
@@ -648,6 +665,20 @@ class TestStreams:
         np.testing.assert_array_equal(y1, y2)
         np.testing.assert_array_equal(X1, X2)
         assert len(y1) == 500
+
+    @pytest.mark.parametrize("n", [0, 5, 8191, 8193, 20_000])
+    def test_synthetic_records_do_not_depend_on_the_batch_size(self, n):
+        stream = SyntheticStream("logit", 3, n, seed=5, theta_true=0.5)
+        want_y, want_X = stream.materialize()
+        for size in (1, 7, 8191, 8192, 10_000):
+            batches = list(stream.batches(size))
+            assert [len(y) for y, _ in batches] == [size] * (n // size) + [n % size] * (n % size > 0)
+            if n:
+                np.testing.assert_array_equal(np.concatenate([y for y, _ in batches]), want_y)
+                np.testing.assert_array_equal(np.vstack([X for _, X in batches]), want_X)
+        if n > 8192:  # block k is drawn from SeedSequence([seed, 1 + k])
+            rng = np.random.default_rng(np.random.SeedSequence([5, 2]))
+            np.testing.assert_array_equal(want_X[8192:16384], data._ball_covariates(rng, min(n - 8192, 8192), 3))
 
     def test_round_robin_shards_partition(self):
         stream = ArrayStream(np.arange(10, dtype=float), np.arange(30, dtype=float).reshape(10, 3))
@@ -985,7 +1016,7 @@ def dense_batches(stream, batch_size):
     up to the dense row cap, from the line-at-a-time grammar: the batches of
     the dense-only reader, each with its count of stored entries and whether
     it holds a -0.0."""
-    records, _, _ = line_oracle(stream)
+    records, _ = line_oracle(stream)
     rows = max(1, min(batch_size, data._BATCH_BYTES // (8 * max(stream.d, 1))))
     out = []
     for lo in range(0, len(records), rows):

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from passglm.errors import InvalidInputError, MetricError
-from passglm.data import synthesize_arrays
+from passglm.baselines import exact_map
+from passglm.data import ArrayStream, build_stats, synthesize_arrays
 from passglm.mappings import MAPPING_FACTORIES, fit_terms, get_mapping, mapping_logit
 from passglm.metrics import (
     _average_ranks,
@@ -16,7 +18,7 @@ from passglm.metrics import (
 )
 from passglm.metrics import test_nll as eval_nll
 from passglm.metrics import test_nll_predictive as eval_nll_predictive
-from passglm.posterior import GaussianPosterior, PriorSpec, posterior_lr2
+from passglm.posterior import GaussianPosterior, PriorSpec, map_error_certificate, posterior_lr2
 from tests.test_posterior import logistic_instance, lr2_stats
 
 
@@ -175,7 +177,7 @@ class TestInnerProductHistogram:
     def test_zero_parameter_concentrates_at_zero(self):
         rng = np.random.default_rng(7)
         y, X = logistic_instance(rng, 3, 100, np.array([1.0, 0.0, -1.0]))
-        hist = inner_product_histogram((y, X), np.zeros(3), radius=4.0)
+        hist = inner_product_histogram(mapping_logit(), (y, X), np.zeros(3), radius=4.0)
         assert hist.in_range_fraction == 1.0
         assert hist.counts.sum() == 100
         nonzero_bins = np.flatnonzero(hist.counts)
@@ -185,7 +187,7 @@ class TestInnerProductHistogram:
         rng = np.random.default_rng(8)
         theta_true = np.array([1.0, -1.5])
         y, X = logistic_instance(rng, 2, 2000, theta_true)
-        hist = inner_product_histogram((y, X), theta_true, radius=4.0)
+        hist = inner_product_histogram(mapping_logit(), (y, X), theta_true, radius=4.0)
         assert hist.in_range_fraction >= 0.98
 
     def test_adversarial_scale_triggers_warning(self):
@@ -194,5 +196,27 @@ class TestInnerProductHistogram:
         y = np.where(rng.random(200) < 0.5, 1.0, -1.0)
         theta = np.array([1.0, 1.0])
         with pytest.warns(UserWarning, match="inner products"):
-            hist = inner_product_histogram((y, X), theta, radius=4.0)
+            hist = inner_product_histogram(mapping_logit(), (y, X), theta, radius=4.0)
         assert hist.in_range_fraction < 0.5
+
+    def test_offset_models_histogram_the_offset_argument(self):
+        # shuber evaluates phi at x . theta - y, not at the label-signed x . theta
+        y, X = synthesize_arrays("shuber", 3, 2000, seed=5, theta_true=0.5)
+        theta = np.full(3, 0.5)
+        hist = inner_product_histogram(get_mapping("shuber"), (y, X), theta, radius=1.0)
+        assert hist.in_range_fraction == np.mean(np.abs(X @ theta - y) <= 1.0)
+        assert hist.in_range_fraction < 0.6 < np.mean(np.abs(X @ theta) <= 1.0)
+        assert hist.counts.sum() == 2000
+
+    @pytest.mark.parametrize("model", list(MAPPING_FACTORIES))
+    def test_fraction_is_the_certificate_fraction(self, model):
+        spec = get_mapping(model)
+        y, X = synthesize_arrays(model, 3, 400, seed=6, theta_true=[0.8, -0.5, 0.3])
+        prior = PriorSpec.gaussian(4.0)
+        theta, _ = exact_map(spec, prior, (y, X), tol=1e-6)  # shuber stalls at 1.6e-8
+        stats = build_stats(ArrayStream(y, X), spec, 2, 1.5)
+        cert = map_error_certificate(theta, None, stats, prior, (y, X))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            hist = inner_product_histogram(spec, (y, X), theta, radius=1.5)
+        assert 0.0 < hist.in_range_fraction == cert.in_range_fraction

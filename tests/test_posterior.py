@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -148,11 +149,16 @@ class TestPosteriorLr2:
         with pytest.raises(PathologicalApproximationError):
             posterior_lr2(stats, bad, PriorSpec.gaussian(4.0))
 
-    def test_requires_gaussian_prior_and_degree_two(self):
-        stats = lr2_stats(np.array([1.0]), np.array([[0.5]]))
-        (approx,) = fit_terms(mapping_logit(), 2, 4.0)
-        with pytest.raises(InvalidInputError):
-            posterior_lr2(stats, approx, PriorSpec.flat())
+    def test_flat_prior_matches_the_newton_fit(self):
+        # a flat prior is the zero-precision Gaussian, which the closed form covers
+        rng = np.random.default_rng(29)
+        y, X = logistic_instance(rng, 5, 3000, np.array([1.0, -1.0, 0.5, 0.0, -0.5]))
+        stats = lr2_stats(y, X)
+        closed = posterior_lr2(stats, None, PriorSpec.flat())
+        general = posterior_general(stats, None, PriorSpec.flat())
+        mean_err = np.linalg.norm(closed.mean - general.map_estimate) / np.linalg.norm(closed.mean)
+        assert mean_err <= 1e-12
+        np.testing.assert_allclose(closed.cov(), general.laplace.cov(), rtol=0, atol=1e-12)
 
 
 class TestApproxContract:
@@ -416,6 +422,16 @@ class TestPolySurface:
 
 
 class TestFlatPriorEquivalence:
+    def test_flat_is_the_zero_precision_gaussian(self):
+        flat, gauss = PriorSpec.flat(), PriorSpec.gaussian(np.array([4.0, 0.5]), mean=1.0)
+        np.testing.assert_array_equal(flat.precision_diag(2), [0.0, 0.0])
+        np.testing.assert_array_equal(flat.mean_vector(2), [0.0, 0.0])
+        np.testing.assert_array_equal(gauss.precision_diag(2), [0.25, 2.0])
+        np.testing.assert_array_equal(gauss.mean_vector(2), [1.0, 1.0])
+        assert flat.log_density(np.array([3.0, -7.0])) == 0.0
+        assert gauss.log_density(np.array([3.0, 1.0])) == -0.5 * 0.25 * 4.0
+        assert sorted(f.name for f in fields(PriorSpec)) == ["mean", "precision"]
+
     def test_wide_gaussian_approaches_flat_mle(self):
         rng = np.random.default_rng(24)
         y, X = logistic_instance(rng, 2, 400, np.array([1.0, -0.5]))
@@ -442,7 +458,6 @@ def quadratic_mapping():
             ),
         ),
         label_mode="pm1",
-        log_concave=True,
     )
 
 
@@ -606,13 +621,12 @@ class TestGeneralPathModels:
         theta_map, _ = exact_map(spec, prior, (y, X))
         assert np.linalg.norm(post.map_estimate - theta_map) <= 0.1
 
-    def test_cauchy_mapping_is_flagged_non_log_concave(self):
+    def test_cauchy_quadratic_surrogate_still_optimizes(self):
         from passglm.mappings import mapping_cauchy
 
         spec = mapping_cauchy(1.0)
-        assert not spec.log_concave
-        # a quadratic surrogate for it still optimizes (b2 < 0), it simply
-        # carries no quality guarantees
+        # the Cauchy likelihood is not log-concave, but a quadratic surrogate
+        # for it still optimizes (b2 < 0); it simply carries no quality guarantees
         rng = np.random.default_rng(33)
         X = rng.uniform(-0.4, 0.4, (200, 2))
         y = (X @ np.array([0.5, -0.5])) + rng.standard_cauchy(200)
