@@ -36,7 +36,8 @@ __all__ = [
 
 class _LogPosterior:
     """The exact log-posterior of ``spec`` and ``prior`` on the records
-    ``(y, X)``, read through ``_loglik_derivs`` one derivative at a time."""
+    ``(y, X)``, read through ``_loglik_derivs`` one derivative at a time; the
+    surface of ``exact_map``'s Newton solver and the target of ``mala``."""
 
     def __init__(self, spec: MappingSpec, prior: PriorSpec, y: np.ndarray, X: np.ndarray):
         self.spec, self.prior, self.y, self.X = spec, prior, y, X
@@ -148,14 +149,7 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
     """
     y, X = _records(spec, data)
     d = X.shape[1]
-    prior_mean = prior.mean_vector(d)
-    prior_prec = prior.precision_diag(d)
-
-    def log_post_and_grad(theta):
-        ll, d1 = _loglik_derivs(spec, y, X @ theta, 1)
-        _check_finite(d1, "gradient")
-        lp = float(np.sum(ll)) - 0.5 * float(prior_prec @ (theta - prior_mean) ** 2)
-        return lp, X.T @ d1 - prior_prec * (theta - prior_mean)
+    post = _LogPosterior(spec, prior, y, X)
 
     kept = config.iterations - config.burn_in
     draws = np.empty((config.chains, kept, d))
@@ -164,8 +158,8 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
 
     for c in range(config.chains):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, c]))
-        theta = prior_mean + 0.5 * rng.standard_normal(d)
-        lp, g = log_post_and_grad(theta)
+        theta = post.mean + 0.5 * rng.standard_normal(d)
+        lp, g = post.value(theta), post.gradient(theta)
         if not np.isfinite(lp):
             raise NumericError("log-posterior is not finite at the chain start")
         log_h = np.log(_STEP_SIZE)
@@ -179,7 +173,7 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
             h2 = h * h
             mu = theta + 0.5 * h2 * D * g
             prop = mu + h * np.sqrt(D) * rng.standard_normal(d)
-            lp_prop, g_prop = log_post_and_grad(prop)
+            lp_prop, g_prop = post.value(prop), post.gradient(prop)
             mu_back = prop + 0.5 * h2 * D * g_prop
             log_q_fwd = -0.5 / h2 * float(((prop - mu) ** 2 / D).sum())
             log_q_back = -0.5 / h2 * float(((theta - mu_back) ** 2 / D).sum())

@@ -520,6 +520,10 @@ class ProjectionSpec:
     output_dim: int
 
     def __post_init__(self):
+        # Philox keys are unsigned 64-bit: a negative or wider seed would be
+        # cast, so refuse it rather than draw another seed's projection
+        if not 0 <= self.seed < 1 << 63:
+            raise InvalidInputError(f"projection seed must be in [0, 2**63), got {self.seed}")
         if self.input_dim < 1 or self.output_dim < 1:
             raise InvalidInputError(
                 f"projection dimensions must be >= 1, got {self.input_dim} -> {self.output_dim}"

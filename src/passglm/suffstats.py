@@ -38,8 +38,16 @@ group, or run of small groups, takes one matrix product with its suffix
 than the block's statistics) and bounds each product; with ``M <= 2`` a
 batch is one block.
 
-Every entry carries a Kahan compensation term so that sharded accumulation
-and merge agree with a sequential pass to near machine precision.
+Statistics are one float64 array, and blocks, shards and merges are summed
+by plain addition, as in the paper.  A compensated (Kahan) add across blocks
+buys no accuracy that matters: each block's own BLAS product is an
+uncompensated sum over its records, and that error dominates (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, ch. 4).  Against
+long-double sums, the worst entry of 1M logit records at d = 20, M = 2 erred
+by 2.45e-14 of the largest entry with compensation and 2.55e-14 without; for
+20k Poisson records at d = 10, M = 6 the median entry erred by 5.7e-16 of
+itself either way, and the worst by 2e-17 and 1.9e-16 of the largest entry,
+both within about one rounding of it.
 """
 
 from __future__ import annotations
@@ -276,16 +284,6 @@ def _caller_level() -> int:
     return level
 
 
-def _kahan_add(t: np.ndarray, comp: np.ndarray, delta: np.ndarray) -> None:
-    """Compensated ``t += delta``, overwriting ``delta``."""
-    delta -= comp
-    s = t + delta
-    err = s - t
-    err -= delta
-    comp[:] = err
-    t[:] = s
-
-
 def _monomial_space(iset: MultiIndexSet, records: int) -> list:
     """Buffers for the monomials of degrees 2 to ``ceil(M / 2)`` of up to
     ``records`` records, which ``_delta`` fills; kept across blocks, so that
@@ -345,15 +343,14 @@ class SuffStats:
     """
 
     def __init__(self, index_set: MultiIndexSet, mapping: MappingSpec, radius: float):
-        if not (radius > 0):
-            raise InvalidInputError(f"approximation radius must be positive, got {radius}")
+        if not (math.isfinite(radius) and radius > 0):
+            raise InvalidInputError(f"approximation radius must be finite and positive, got {radius}")
         if index_set.M > MAX_DEGREE:  # no term can be fitted: refuse before the pass
             raise InvalidInputError(f"degree {index_set.M} exceeds the supported maximum {MAX_DEGREE}")
         self.index_set = index_set
         self.mapping = mapping
         self.radius = float(radius)
         self.t = np.zeros(len(index_set))
-        self.comp = np.zeros(len(index_set))
         self.n = 0
         self._norm_warned = False
 
@@ -381,13 +378,13 @@ class SuffStats:
         )
 
     def values(self) -> np.ndarray:
-        """Accumulated statistics with the compensation terms folded in."""
-        return self.t + self.comp
+        """A copy of the accumulated statistics, which later accumulation
+        does not change."""
+        return self.t.copy()
 
     def copy(self) -> "SuffStats":
         out = copy.copy(self)
         out.t = self.t.copy()
-        out.comp = self.comp.copy()
         return out
 
     # -- accumulation -------------------------------------------------------
@@ -410,7 +407,9 @@ class SuffStats:
         block's monomials (``MultiIndexSet.held``) fill ``_BLOCK_BYTES``, or
         as much as the block's statistics where that is more: each block also
         scatters, scales and adds every entry, work that fewer records would
-        not amortize."""
+        not amortize.  A block is added to ``t`` by plain addition: its own
+        products already sum its records uncompensated, and that error
+        dominates, so a compensated add did not move the error measurably."""
         iset = self.index_set
         X = np.asarray(_dense(X), dtype=float)
         if X.ndim != 2 or X.shape[1] != iset.d:
@@ -430,22 +429,21 @@ class SuffStats:
         space = _monomial_space(iset, min(step, len(y))) if iset.M >= 3 else None
         for lo in range(0, len(y), step):
             sub = None if G is None else G[lo : lo + step]
-            _kahan_add(self.t, self.comp, _delta(iset, base[lo : lo + step], sub, space))
+            self.t += _delta(iset, base[lo : lo + step], sub, space)
         self.n += len(y)
         return self
 
     # -- merging -------------------------------------------------------------
 
     def merge(self, other: "SuffStats") -> "SuffStats":
-        """Entry-wise compensated sum of two compatible accumulators."""
+        """Entry-wise sum of two compatible accumulators."""
         if not self.same_config(other):
             raise ConfigMismatchError(
                 f"cannot merge statistics with configs {self.config_key()} "
                 f"and {other.config_key()}"
             )
         out = self.copy()
-        _kahan_add(out.t, out.comp, other.t.copy())
-        _kahan_add(out.t, out.comp, other.comp.copy())
+        out.t += other.t
         out.n = self.n + other.n
         return out
 
@@ -551,7 +549,7 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
 
 def serialize(stats: SuffStats) -> bytes:
-    """Serialize to the PGLM binary format (compensation folded into entries)."""
+    """Serialize to the PGLM binary format."""
     model_id = stats.mapping.model_id
     if model_id is None:
         raise InvalidInputError(
@@ -567,7 +565,7 @@ def serialize(stats: SuffStats) -> bytes:
         stats.radius,
         stats.n,
     )
-    body = header + stats.values().astype("<f8").tobytes()
+    body = header + stats.t.astype("<f8").tobytes()
     return body + struct.pack("<I", crc32c(body))
 
 

@@ -516,13 +516,21 @@ class TestUnusableOptions:
               "--seed", -1, "--out", "{tmp}/out.json"], "seed must be >= 0, got -1"),
             (["baseline", "--method", "mala", "--input", "{data}", "--model", "logit",
               "--iters", 100, "--seed", -1, "--out", "{tmp}/out.json"], "seed must be >= 0, got -1"),
+            (["project", "--input", "{data}", "--output", "{tmp}/out.svm", "--dim", 2, "--seed", -1],
+             "projection seed must be in [0, 2**63), got -1"),
+            (["project", "--input", "{data}", "--output", "{tmp}/out.svm", "--dim", 2,
+              "--seed", 2**64], f"projection seed must be in [0, 2**63), got {2**64}"),
+            (["stats", "build", "--input", "{data}", "--model", "logit", "--degree", 2,
+              "--radius", "inf", "--out", "{tmp}/out.pglm"],
+             "approximation radius must be finite and positive, got inf"),
         ],
         ids=["prior not a number", "prior nan", "theta not a number", "theta nan", "theta inf",
              "theta length", "negative n", "synth to 0", "project to 0", "fit missing",
              "stats build missing", "stats merge missing", "project missing", "eval missing",
              "domain radius negative", "domain radius 0", "domain radius nan", "chains 0",
              "chains negative", "eta0 negative", "eta0 nan", "synth seed negative",
-             "sgd seed negative", "mala seed negative"],
+             "sgd seed negative", "mala seed negative", "project seed negative",
+             "project seed past 64 bits", "stats build radius inf"],
     )
     def test_exits_2_with_an_error_line(self, dataset, tmp_path, capsys, argv, message):
         path, _, _ = dataset

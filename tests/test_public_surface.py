@@ -60,3 +60,66 @@ def _attributes_read() -> set[str]:
 def test_every_field_is_read(module, cls):
     fields = dataclasses.fields(getattr(importlib.import_module(f"passglm.{module}"), cls))
     assert [f.name for f in fields if f.name not in _attributes_read()] == []
+
+
+def _module_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _loads(node: ast.AST) -> set[str]:
+    """Names read under ``node``, as ``name`` or as ``obj.name``."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_read(name):
+    tree = _module_trees()[name]
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    assert [b for b in bound if b not in _loads(tree)] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """``(name, statement)`` for each module-level private function, class
+    or constant; dunders are not private."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def test_every_private_name_is_referenced():
+    """A private module-level name is read by some statement other than its
+    own definition, in its module or, imported or as an attribute, in
+    another one."""
+    trees = _module_trees()
+    imported = {
+        alias.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_loads(t) for m, t in trees.items() if m != module))
+        for name, own in _private_definitions(tree):
+            here = set().union(*(_loads(stmt) for stmt in tree.body if stmt is not own))
+            if name not in here | elsewhere | imported:
+                unused.append(f"{module}.{name}")
+    assert unused == []
