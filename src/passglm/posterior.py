@@ -305,6 +305,9 @@ _MAX_ITER = 500
 # Newton's sufficient-increase constant and the smallest step it backtracks to.
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-12
+# Within this many ulps of |f| the value is rounding: a step whose predicted
+# increase is this small is judged by the gradient, and may lower f this much.
+_ROUNDING_ULPS = 16
 
 
 def _newton(surface, theta: np.ndarray, tol, max_iter: int, radius: float | None = None):
@@ -314,21 +317,29 @@ def _newton(surface, theta: np.ndarray, tol, max_iter: int, radius: float | None
     Each step solves with the Cholesky factor of ``-H`` (its ``LinAlgError``
     reaches the caller) and is halved until the Armijo condition holds
     (Nocedal & Wright, *Numerical Optimization*, ch. 3); with ``radius``,
-    every candidate is projected onto that ball.  Returns the point and the
-    Hessian there once the projected gradient norm is at most ``tol(value)``;
-    after ``max_iter`` steps raises :class:`ConvergenceError` with the trace
-    ``(step, value, gradient norm)``.
+    every candidate is projected onto that ball.  Near the optimum the
+    predicted increase ``g . step`` can fall below the rounding of ``f``,
+    where Armijo can no longer tell a better point from a worse one: when it
+    is within ``_ROUNDING_ULPS`` ulps of ``|f|``, the full step is also taken
+    if it lowers the stationarity and lowers ``f`` by at most that rounding
+    (the idea of Hager & Zhang's approximate Wolfe conditions, SIAM J. Optim.
+    16, 2005).  Returns the point and the Hessian there once the projected
+    gradient norm is at most ``tol(value)``; after ``max_iter`` steps raises
+    :class:`ConvergenceError` with the trace ``(step, value, gradient norm)``,
+    whose message counts the steps taken at the rounding floor.
     """
-    f = surface.value(theta)
-    trace = []
+    f, g = surface.value(theta), surface.gradient(theta)
+    trace, floor_steps = [], 0
     for it in range(max_iter):
-        g = surface.gradient(theta)
         H = surface.hessian(theta)
         trace.append((it, f, float(np.linalg.norm(g))))
-        if _stationarity(theta, g, radius) <= tol(f):
+        stationarity = _stationarity(theta, g, radius)
+        if stationarity <= tol(f):
             return theta, H
         step = linalg.cho_solve((linalg.cholesky(-H, lower=True), True), g)
         g_dot_step = float(g @ step)
+        rounding = _ROUNDING_ULPS * np.spacing(abs(f))
+        g_candidate = None
         alpha = 1.0
         while alpha > _MIN_STEP:
             candidate = theta + alpha * step
@@ -337,9 +348,20 @@ def _newton(surface, theta: np.ndarray, tol, max_iter: int, radius: float | None
             f_candidate = surface.value(candidate)
             if f_candidate >= f + _ARMIJO * alpha * g_dot_step:
                 break
+            if alpha == 1.0 and g_dot_step <= rounding and f_candidate >= f - rounding:
+                g_candidate = surface.gradient(candidate)
+                if _stationarity(candidate, g_candidate, radius) < stationarity:
+                    floor_steps += 1
+                    break
+                g_candidate = None
             alpha *= 0.5
         theta, f = candidate, f_candidate
-    raise ConvergenceError(f"Newton did not reach its tolerance in {max_iter} iterations", trace=trace)
+        g = surface.gradient(theta) if g_candidate is None else g_candidate
+    raise ConvergenceError(
+        f"Newton did not reach its tolerance in {max_iter} iterations "
+        f"({floor_steps} taken at the rounding floor of f)",
+        trace=trace,
+    )
 
 
 def _gaussian_at(mode: np.ndarray, precision: np.ndarray) -> GaussianPosterior:

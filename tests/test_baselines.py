@@ -15,7 +15,8 @@ from passglm.baselines import (
     split_rhat,
 )
 from passglm.errors import ConvergenceError, DivergenceError, InvalidInputError
-from passglm.mappings import log_likelihood_grad, mapping_logit
+from passglm.data import synthesize_arrays
+from passglm.mappings import get_mapping, log_likelihood_grad, mapping_logit
 from passglm.metrics import test_nll as eval_nll
 from passglm.posterior import PriorSpec
 from tests.test_posterior import grid_moments, logistic_instance, quadratic_mapping
@@ -58,6 +59,17 @@ class TestLaplace:
             exact_map(mapping_logit(), PriorSpec.gaussian(4.0), (y, X))
         ((step, value, grad_norm),) = info.value.trace
         assert step == 0 and np.isfinite(value) and grad_norm > 1e-8
+
+    def test_a_step_below_the_rounding_of_f_is_judged_by_the_gradient(self, monkeypatch):
+        # the Newton step from trace[3] predicts an increase below one ulp of
+        # |f|, and f rounds lower at the full step: Armijo alone rejects it
+        y, X = synthesize_arrays("shuber", 3, 400, seed=6, theta_true=[0.8, -0.5, 0.3])
+        monkeypatch.setattr(baselines, "_MAX_ITER", 5)
+        with pytest.raises(ConvergenceError, match=r"\(1 taken at the rounding floor of f\)") as info:
+            exact_map(get_mapping("shuber"), PriorSpec.gaussian(4.0), (y, X), tol=0.0)
+        (_, f3, g3), (_, f4, g4) = info.value.trace[3:]
+        assert g4 < 1e-13 < 1e-8 < g3
+        assert f4 >= f3 - 16 * np.spacing(abs(f3))
 
     def test_covariance_close_to_grid_truth(self):
         rng = np.random.default_rng(2)

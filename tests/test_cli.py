@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import passglm.data as data
-from passglm.cli import _gaussian_from_json, build_parser, main
+from passglm.cli import _f8_b64, _f8_from_b64, _gaussian_from_json, build_parser, main
 from passglm.data import ArrayStream, ProjectionSpec, build_stats, parse_libsvm, project, write_libsvm
 from passglm.chebyshev import fit_chebyshev
 from passglm.mappings import fit_terms, get_mapping, mapping_cauchy, mapping_logit
-from passglm.posterior import PriorSpec, posterior_lr2
+from passglm.posterior import PriorSpec, posterior_general, posterior_lr2
 from passglm.suffstats import load_stats, merge, serialize
 
 
@@ -34,6 +34,12 @@ def dataset(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _gaussian_doc(**fields) -> str:
+    """A d = 2 schema 1 ``gaussian`` document with ``fields`` replaced or added."""
+    doc = {"kind": "gaussian", "d": 2, "mean": [0, 0], "chol_lower": [1, 0, 0, 1], "logdet": 0}
+    return json.dumps({**doc, **fields})
 
 
 # `approx --degree 4 --radius 3 --bscale 2` output fields per model
@@ -265,7 +271,7 @@ class TestFitAndEval:
         assert doc["kind"] == "gaussian"
         expected = posterior_lr2(build_stats(ArrayStream(y, X), mapping_logit(), 2, 4.0), None, PriorSpec.flat())
         assert doc["mean"] == expected.mean.tolist()
-        assert doc["chol_lower"] == expected.chol.ravel().tolist()
+        assert _gaussian_from_json(doc).chol.tobytes() == expected.chol.tobytes()
 
     def test_fit_document_reads_back_bit_identical(self, dataset, tmp_path):
         path, _, _ = dataset
@@ -283,6 +289,40 @@ class TestFitAndEval:
         assert np.array_equal(back.mean, written.mean)
         assert np.array_equal(back.chol, written.chol)
         assert back.logdet == written.logdet
+
+    def test_surrogate_document_reads_back_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-0.4, 0.4, (300, 3))
+        y = rng.poisson(np.exp(X @ [0.5, -0.5, 0.2])).astype(float)
+        data_path, stats_path, post_path = (tmp_path / n for n in ("d.svm", "s.pglm", "p.json"))
+        write_libsvm(data_path, y, X)
+        run("stats", "build", "--input", data_path, "--model", "poisson", "--degree", 4,
+            "--radius", 2, "--dim", 3, "--out", stats_path)
+        assert run("fit", "--stats", stats_path, "--prior", "gaussian:4", "--domain-radius", 2,
+                   "--out", post_path) == 0
+        doc = json.loads(post_path.read_text())
+        assert doc["schema_version"] == 2 and doc["kind"] == "surrogate"
+        post = posterior_general(load_stats(stats_path), None, PriorSpec.gaussian(4.0), domain_radius=2.0)
+        coefficients = _f8_from_b64(doc["coefficients_b64"], post.coefficients.size, "coefficients_b64")
+        assert coefficients.tobytes() == post.coefficients.tobytes()
+        assert doc["map"] == post.map_estimate.tolist()
+        back = _gaussian_from_json(doc)
+        assert back.mean.tobytes() == post.laplace.mean.tobytes()
+        assert back.chol.tobytes() == post.laplace.chol.tobytes()
+        assert back.logdet == post.laplace.logdet
+
+    def test_schema_1_and_schema_2_documents_read_alike(self):
+        rng = np.random.default_rng(3)
+        chol = np.tril(rng.standard_normal((4, 4)))
+        mean = rng.standard_normal(4)
+        schema_1 = {"kind": "gaussian", "d": 4, "mean": mean.tolist(),
+                    "chol_lower": chol.ravel().tolist(), "logdet": -1.5}
+        schema_2 = {"schema_version": 2, "kind": "gaussian", "d": 4, "mean": mean.tolist(),
+                    "chol_lower_b64": _f8_b64(chol[np.tri(4, dtype=bool)]), "logdet": -1.5}
+        for doc in (schema_1, {**schema_1, "schema_version": 1}, schema_2):
+            back = _gaussian_from_json(json.loads(json.dumps(doc)))
+            assert back.mean.tobytes() == mean.tobytes() and back.chol.tobytes() == chol.tobytes()
+            assert back.logdet == -1.5
 
     def test_fit_merges_multiple_stats_files(self, dataset, tmp_path):
         path, y, X = dataset
@@ -556,8 +596,30 @@ class TestUnusableOptions:
              '"logdet": 0}}', "got d=2, 2 and 3"),
             ('{"kind": "gaussian", "d": 2, "mean": [0, 0, 0], "chol_lower": [1, 0, 0, 1], '
              '"logdet": 0}', "got d=2, 3 and 4"),
+            (_gaussian_doc(mean=[float("nan"), 0], chol_lower=[1, 5, float("inf"), 1],
+                           logdet=float("nan")), "mean holds a non-finite value"),
+            (_gaussian_doc(chol_lower=[1, 0, float("inf"), 1]), "chol_lower holds a non-finite value"),
+            (_gaussian_doc(logdet=float("nan")), "logdet holds a non-finite value"),
+            (_gaussian_doc(chol_lower=[1, 5, 0, 1]), "chol_lower has a nonzero entry above the diagonal"),
+            (_gaussian_doc(schema_version=99), "unknown schema_version 99"),
+            (_gaussian_doc(schema_version=2), "missing field 'chol_lower_b64'"),
+            (_gaussian_doc(schema_version=2, chol_lower_b64="not base64!"), "chol_lower_b64 is not base64"),
+            (_gaussian_doc(schema_version=2, chol_lower_b64="AAAAAAAAAAA"), "chol_lower_b64 is not base64"),
+            (_gaussian_doc(schema_version=2, chol_lower_b64=[1, 0, 1]), "chol_lower_b64 is not base64"),
+            (_gaussian_doc(schema_version=2, chol_lower_b64=_f8_b64(np.eye(2))),
+             "chol_lower_b64 holds 32 bytes, need 3 float64 values"),
+            (_gaussian_doc(schema_version=2, chol_lower_b64=_f8_b64([1.0, float("nan"), 1.0])),
+             "chol_lower_b64 holds a non-finite value"),
+            (_gaussian_doc(schema_version=2, chol_lower_b64=_f8_b64([1.0, 0.0, 1.0]), mean=[0, float("inf")]),
+             "mean holds a non-finite value"),
+            (json.dumps({"schema_version": 2, "kind": "surrogate", "d": 2, "laplace": {
+                "mean": [0, 0], "chol_lower_b64": _f8_b64([1.0, 0.0]), "logdet": 0}}),
+             "chol_lower_b64 holds 16 bytes, need 3 float64 values"),
         ],
-        ids=["not json", "no d", "short surrogate factor", "long mean"],
+        ids=["not json", "no d", "short surrogate factor", "long mean",
+             "nan mean inf factor nan logdet", "inf factor", "nan logdet", "upper entry",
+             "unknown version", "schema 2 without its factor", "bad base64", "bad padding",
+             "factor as numbers", "long factor", "nan factor", "inf mean", "short surrogate base64"],
     )
     def test_eval_refuses_a_malformed_posterior_file(self, tmp_path, capsys, content, message):
         bad, good = tmp_path / "bad.json", tmp_path / "good.json"

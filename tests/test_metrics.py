@@ -213,7 +213,7 @@ class TestInnerProductHistogram:
         spec = get_mapping(model)
         y, X = synthesize_arrays(model, 3, 400, seed=6, theta_true=[0.8, -0.5, 0.3])
         prior = PriorSpec.gaussian(4.0)
-        theta, _ = exact_map(spec, prior, (y, X), tol=1e-6)  # shuber stalls at 1.6e-8
+        theta, _ = exact_map(spec, prior, (y, X))
         stats = build_stats(ArrayStream(y, X), spec, 2, 1.5)
         cert = map_error_certificate(theta, None, stats, prior, (y, X))
         with warnings.catch_warnings():
