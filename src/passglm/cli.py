@@ -14,13 +14,13 @@ Subcommands chain the library end to end::
 
 Every JSON document carries a ``schema_version`` field.  Posterior documents
 (``gaussian``, and a ``surrogate`` one's ``laplace`` block) are schema 2:
-``mean``, ``map``, ``logdet``, ``d`` and ``domain_radius`` are JSON numbers,
-while the covariance Cholesky factor (its lower triangle, row-major) and the
-surrogate's ``coefficients`` are standard base64 of little-endian float64
-under ``chol_lower_b64`` and ``coefficients_b64``: formatting d**2 numbers
-cost nine times the fit at d = 500.  Schema 1 posterior documents, with the
-full factor as d*d numbers under ``chol_lower``, are still read.  The other
-documents keep schema 1.
+``mean``, ``map``, ``logdet``, ``d``, ``domain_radius`` and ``multiplier`` are
+JSON numbers, while the covariance Cholesky factor (its lower triangle,
+row-major) and the surrogate's ``coefficients`` are standard base64 of
+little-endian float64 under ``chol_lower_b64`` and ``coefficients_b64``:
+formatting d**2 numbers cost nine times the fit at d = 500.  Schema 1
+posterior documents, with the full factor as d*d numbers under
+``chol_lower``, are still read.  The other documents keep schema 1.
 """
 
 from __future__ import annotations
@@ -108,6 +108,7 @@ def _posterior_to_json(post) -> dict:
         "coefficients_b64": _f8_b64(post.coefficients),
         "map": post.map_estimate.tolist(),
         "domain_radius": post.domain_radius,
+        "multiplier": post.multiplier,
         "laplace": _gaussian_fields(post.laplace),
     }
 

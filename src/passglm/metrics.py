@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -168,8 +169,11 @@ def inner_product_histogram(
 
     Emits a warning when fewer than half the records are in range, which
     signals that the polynomial approximation interval is badly matched to
-    the data.
+    the data.  A ``radius`` that is not finite and > 0 raises
+    :class:`InvalidInputError`.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise InvalidInputError(f"histogram radius must be finite and > 0, got {radius}")
     y, X = _records(spec, data)
     args, fraction = _term_range(spec, y, X @ np.asarray(theta, dtype=float), radius)
     counts, edges = np.histogram(args, bins=bins)

@@ -3,8 +3,8 @@
 For the degree-2 logistic surrogate with a Gaussian or flat prior the
 posterior is an exact Gaussian with closed-form mean and covariance.  For
 every other supported case the surrogate log-posterior is a polynomial in the
-parameter; its mode is found by Newton iteration and a Gaussian is fitted at
-the mode.
+parameter; a Gaussian is fitted at its mode, found by Newton iteration, and
+inside a ball by a search for the ball's multiplier around it (``_ball_mode``).
 ``_newton`` is the package's one Newton solver: it also finds the exact MAP
 of the Laplace baseline (``baselines.exact_map``), and ``_gaussian_at`` fits
 the Gaussian at both modes.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import linalg
@@ -127,12 +128,16 @@ class GaussianPosterior:
 
 @dataclass(frozen=True)
 class SurrogatePosterior:
-    """Polynomial surrogate log-posterior with its mode and Laplace fit."""
+    """Polynomial surrogate log-posterior with its mode and Laplace fit.
+    ``multiplier`` is 0.0 unless the ``domain_radius`` ball binds; then the
+    mode is on its boundary, where the gradient is ``multiplier * map_estimate``,
+    and the Laplace fit there ignores the boundary."""
 
     surface: "PolySurface"
     map_estimate: np.ndarray
     laplace: GaussianPosterior
     domain_radius: float | None = None
+    multiplier: float = 0.0
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -299,9 +304,10 @@ def _surrogate_posterior_surface(
 
 
 # The surrogate's Newton stops at stationarity <= _GRAD_TOL * max(1, |value|),
-# or fails after _MAX_ITER steps.
+# or fails after _MAX_ITER steps (a ball's multiplier search: _MAX_SOLVES solves).
 _GRAD_TOL = 1e-8
 _MAX_ITER = 500
+_MAX_SOLVES = 50
 # Newton's sufficient-increase constant and the smallest step it backtracks to.
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-12
@@ -310,21 +316,20 @@ _MIN_STEP = 1e-12
 _ROUNDING_ULPS = 16
 
 
-def _newton(surface, theta: np.ndarray, tol, max_iter: int, radius: float | None = None):
+def _newton(surface, theta: np.ndarray, tol, max_iter: int):
     """Maximize ``surface`` (``value``, ``gradient`` and ``hessian``, as on
     :class:`PolySurface`) from ``theta`` by damped Newton iteration.
 
     Each step solves with the Cholesky factor of ``-H`` (its ``LinAlgError``
     reaches the caller) and is halved until the Armijo condition holds
-    (Nocedal & Wright, *Numerical Optimization*, ch. 3); with ``radius``,
-    every candidate is projected onto that ball.  Near the optimum the
+    (Nocedal & Wright, *Numerical Optimization*, ch. 3).  Near the optimum the
     predicted increase ``g . step`` can fall below the rounding of ``f``,
     where Armijo can no longer tell a better point from a worse one: when it
     is within ``_ROUNDING_ULPS`` ulps of ``|f|``, the full step is also taken
-    if it lowers the stationarity and lowers ``f`` by at most that rounding
+    if it lowers the gradient norm and lowers ``f`` by at most that rounding
     (the idea of Hager & Zhang's approximate Wolfe conditions, SIAM J. Optim.
-    16, 2005).  Returns the point and the Hessian there once the projected
-    gradient norm is at most ``tol(value)``; after ``max_iter`` steps raises
+    16, 2005).  Returns the point and the Hessian there once the gradient
+    norm is at most ``tol(value)``; after ``max_iter`` steps raises
     :class:`ConvergenceError` with the trace ``(step, value, gradient norm)``,
     whose message counts the steps taken at the rounding floor.
     """
@@ -332,9 +337,9 @@ def _newton(surface, theta: np.ndarray, tol, max_iter: int, radius: float | None
     trace, floor_steps = [], 0
     for it in range(max_iter):
         H = surface.hessian(theta)
-        trace.append((it, f, float(np.linalg.norm(g))))
-        stationarity = _stationarity(theta, g, radius)
-        if stationarity <= tol(f):
+        grad_norm = float(np.linalg.norm(g))
+        trace.append((it, f, grad_norm))
+        if grad_norm <= tol(f):
             return theta, H
         step = linalg.cho_solve((linalg.cholesky(-H, lower=True), True), g)
         g_dot_step = float(g @ step)
@@ -343,14 +348,12 @@ def _newton(surface, theta: np.ndarray, tol, max_iter: int, radius: float | None
         alpha = 1.0
         while alpha > _MIN_STEP:
             candidate = theta + alpha * step
-            if radius is not None:
-                candidate = _project_ball(candidate, radius)
             f_candidate = surface.value(candidate)
             if f_candidate >= f + _ARMIJO * alpha * g_dot_step:
                 break
             if alpha == 1.0 and g_dot_step <= rounding and f_candidate >= f - rounding:
                 g_candidate = surface.gradient(candidate)
-                if _stationarity(candidate, g_candidate, radius) < stationarity:
+                if np.linalg.norm(g_candidate) < grad_norm:
                     floor_steps += 1
                     break
                 g_candidate = None
@@ -362,6 +365,41 @@ def _newton(surface, theta: np.ndarray, tol, max_iter: int, radius: float | None
         f"({floor_steps} taken at the rounding floor of f)",
         trace=trace,
     )
+
+
+def _ball_mode(surface: PolySurface, theta: np.ndarray, radius: float):
+    """The maximizer of ``surface`` over ``|theta| <= radius``, the surface's
+    Hessian there and the ball's multiplier ``lam``: 0.0 for a free mode
+    inside the ball, else the ``lam`` where the mode of ``surface - lam
+    |theta|^2 / 2`` has norm ``radius``, found by safeguarded Newton steps on
+    ``1/|theta| - 1/radius`` (slope ``-theta' H^-1 theta / |theta|^3 > 0`` for
+    the penalized ``H``; Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983)
+    until ``| |theta| - radius |`` and, at the mode scaled onto the sphere, the
+    projected gradient ``|P(theta + grad) - theta|`` both meet ``_GRAD_TOL``."""
+    tol = lambda f: _GRAD_TOL * max(1.0, abs(f))
+    theta, H = _newton(surface, theta, tol, _MAX_ITER)
+    lam, lo, hi = 0.0, 0.0, math.inf
+    penalized = SimpleNamespace(  # surface - lam |theta|^2 / 2, read at the current lam
+        value=lambda t: surface.value(t) - 0.5 * lam * float(t @ t),
+        gradient=lambda t: surface.gradient(t) - lam * t,
+        hessian=lambda t: surface.hessian(t) - lam * np.eye(t.size),
+    )
+    for _ in range(_MAX_SOLVES):
+        norm = float(np.linalg.norm(theta))
+        if norm <= radius and lam == 0.0:
+            return theta, H, lam
+        on_sphere = theta * (radius / norm)
+        ascent = on_sphere + surface.gradient(on_sphere)
+        ascent *= min(1.0, radius / float(np.linalg.norm(ascent)))
+        if max(abs(norm - radius), np.linalg.norm(ascent - on_sphere)) <= tol(surface.value(on_sphere)):
+            return on_sphere, surface.hessian(on_sphere), lam
+        lo, hi = (lam, hi) if norm > radius else (lo, lam)
+        h_inv_theta = linalg.cho_solve((linalg.cholesky(-H, lower=True), True), theta)
+        lam += (1.0 / radius - 1.0 / norm) * norm**3 / float(theta @ h_inv_theta)
+        if not lo < lam < hi:  # bisect the bracket
+            lam = 0.5 * (lo + hi)
+        theta, H = _newton(penalized, theta, tol, _MAX_ITER)
+    raise ConvergenceError(f"the multiplier of radius {radius} is not found in {_MAX_SOLVES} solves")
 
 
 def _gaussian_at(mode: np.ndarray, precision: np.ndarray) -> GaussianPosterior:
@@ -379,23 +417,17 @@ def posterior_general(
     """Surrogate-MAP plus Laplace-on-surrogate posterior for general degree.
 
     Maximizes the polynomial surrogate log-posterior with :func:`_newton`,
-    projecting onto the ball of ``domain_radius`` when given, then fits a
-    Gaussian at the optimum.
+    over the ball of ``domain_radius`` when given (:func:`_ball_mode`; with
+    ``|x| <= 1`` it keeps every inner product inside ``[-radius, radius]``),
+    and fits a Gaussian with the surrogate's own Hessian at the mode.
     """
-    if domain_radius is not None and not domain_radius > 0:
+    if domain_radius is not None and not (math.isfinite(domain_radius) and domain_radius > 0):
         raise InvalidInputError(f"domain radius must be > 0, got {domain_radius}")
     surface = _surrogate_posterior_surface(stats, approx, prior)
     if stats.mapping.name == "poisson":
         _check_poisson_convexity(_approxes(stats, approx)[1])
-    theta = prior.mean_vector(stats.index_set.d)
-    if domain_radius is not None:
-        theta = _project_ball(theta, domain_radius)
-    if np.max(np.linalg.eigvalsh(surface.hessian(theta))) >= 0:
-        _raise_nonconcave(stats)
     try:
-        theta, H = _newton(
-            surface, theta, lambda f: _GRAD_TOL * max(1.0, abs(f)), _MAX_ITER, domain_radius
-        )
+        theta, H, lam = _ball_mode(surface, prior.mean_vector(stats.index_set.d), domain_radius or math.inf)
     except linalg.LinAlgError:
         _raise_nonconcave(stats)
     if np.max(np.linalg.eigvalsh(H)) >= 0:
@@ -405,20 +437,8 @@ def posterior_general(
         map_estimate=theta,
         laplace=_gaussian_at(theta.copy(), -H),
         domain_radius=domain_radius,
+        multiplier=lam,
     )
-
-
-def _stationarity(theta: np.ndarray, grad: np.ndarray, radius: float | None) -> float:
-    if radius is None:
-        return float(np.linalg.norm(grad))
-    return float(np.linalg.norm(_project_ball(theta + grad, radius) - theta))
-
-
-def _project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
-    norm = float(np.linalg.norm(theta))
-    if norm <= radius:
-        return theta
-    return theta * (radius / norm)
 
 
 def _raise_nonconcave(stats: SuffStats):

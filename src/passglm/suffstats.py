@@ -592,15 +592,10 @@ def deserialize(data: bytes, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
         raise StatsFormatError(f"radius must be finite and positive, got {radius!r}")
     mapping = _header_mapping(name, scale)
     # check the header against the payload before building its index set;
-    # the count stops once it passes the payload, so a hostile header is cheap
+    # with M <= MAX_DEGREE the count is cheap even for a hostile d
     payload = body[_HEADER.size :]
     entries = len(payload) // 8
-    count = 1
-    for m in range(1, M + 1):
-        count = count * (d + m) // m
-        if count > entries:
-            break
-    if d < 1 or len(payload) != 8 * count:
+    if d < 1 or len(payload) != 8 * math.comb(d + M, M):
         raise StatsFormatError(
             f"payload holds {entries} entries, but d={d}, M={M} needs binomial(d + M, d)"
         )

@@ -542,6 +542,14 @@ class TestUnusableOptions:
               "--out", "{tmp}/out.json"], "domain radius must be > 0, got 0.0"),
             (["fit", "--stats", "{stats}", "--prior", "gaussian:4", "--domain-radius", "nan",
               "--out", "{tmp}/out.json"], "domain radius must be > 0, got nan"),
+            (["fit", "--stats", "{stats}", "--prior", "gaussian:4", "--domain-radius", "inf",
+              "--out", "{tmp}/out.json"], "domain radius must be > 0, got inf"),
+            (["eval", "--posterior", "{post}", "--reference", "{post}", "--test", "{data}",
+              "--radius", "inf", "--out", "{tmp}/out.json"],
+             "histogram radius must be finite and > 0, got inf"),
+            (["eval", "--posterior", "{post}", "--reference", "{post}", "--test", "{data}",
+              "--radius", "nan", "--out", "{tmp}/out.json"],
+             "histogram radius must be finite and > 0, got nan"),
             (["baseline", "--method", "mala", "--input", "{data}", "--model", "logit",
               "--iters", 100, "--chains", 0, "--out", "{tmp}/out.json"], "chain count must be >= 1"),
             (["baseline", "--method", "mala", "--input", "{data}", "--model", "logit",
@@ -567,7 +575,8 @@ class TestUnusableOptions:
         ids=["prior not a number", "prior nan", "theta not a number", "theta nan", "theta inf",
              "theta length", "negative n", "synth to 0", "project to 0", "fit missing",
              "stats build missing", "stats merge missing", "project missing", "eval missing",
-             "domain radius negative", "domain radius 0", "domain radius nan", "chains 0",
+             "domain radius negative", "domain radius 0", "domain radius nan", "domain radius inf",
+             "eval radius inf", "eval radius nan", "chains 0",
              "chains negative", "eta0 negative", "eta0 nan", "synth seed negative",
              "sgd seed negative", "mala seed negative", "project seed negative",
              "project seed past 64 bits", "stats build radius inf"],
@@ -656,8 +665,21 @@ class TestSurrogateFitPath:
         assert doc["kind"] == "surrogate"
         assert doc["degree"] == 4
         assert doc["domain_radius"] == 2.0
+        assert doc["multiplier"] == 0.0
         assert len(doc["map"]) == 2
         assert len(doc["laplace"]["mean"]) == 2
+
+    def test_binding_domain_radius_fits_on_the_boundary(self, dataset, tmp_path):
+        path, _, _ = dataset
+        stats_path, post_path = tmp_path / "stats.pglm", tmp_path / "posterior.json"
+        run("stats", "build", "--input", path, "--model", "logit", "--degree", 6,
+            "--radius", 4, "--dim", 3, "--out", stats_path)
+        assert run("fit", "--stats", stats_path, "--prior", "gaussian:4", "--domain-radius", 0.3,
+                   "--out", post_path) == 0
+        doc = json.loads(post_path.read_text())
+        assert doc["kind"] == "surrogate" and doc["domain_radius"] == 0.3
+        assert np.linalg.norm(doc["map"]) <= 0.3 * (1 + 4 * 2**-52)
+        assert doc["multiplier"] > 0
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():

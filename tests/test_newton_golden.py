@@ -28,8 +28,8 @@ CASES = {
     "logit-m6": ("logit", None, 6, 4.0, [0.8, -0.5, 0.3]),
 }
 PRIORS = {"gaussian": PriorSpec.gaussian(4.0), "flat": PriorSpec.flat()}
-# every surrogate MAP here lies inside this ball, and some Newton candidates
-# and stationarity tests outside it, so the projection is exercised
+# every surrogate MAP here lies inside this ball, so the ball does not bind
+# and each "ball" fit must equal its "free" one bit for bit
 DOMAIN_RADIUS = 1.2
 
 

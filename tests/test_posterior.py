@@ -1,12 +1,16 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passglm.chebyshev import fit_chebyshev
 from passglm import posterior
+from passglm.data import ArrayStream, build_stats, synthesize_arrays
 from passglm.errors import (
     ConvergenceError,
     InvalidInputError,
@@ -17,6 +21,7 @@ from passglm.mappings import (
     MappingSpec,
     Term,
     fit_terms,
+    get_mapping,
     mapping_logit,
     mapping_poisson,
 )
@@ -270,7 +275,7 @@ class TestPosteriorGeneral:
         expected = np.linalg.solve(-2.0 * b[2] * T2, b[1] * t1)
         np.testing.assert_allclose(general.map_estimate, expected, atol=1e-7)
 
-    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan])
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf])
     def test_domain_radius_must_be_positive(self, radius):
         rng = np.random.default_rng(17)
         stats = lr2_stats(*logistic_instance(rng, 2, 50, np.array([1.0, -0.5])))
@@ -335,6 +340,56 @@ class TestPosteriorGeneral:
         post = posterior_general(stats, None, PriorSpec.gaussian(4.0), domain_radius=R)
         assert np.linalg.norm(post.map_estimate) < R
         assert np.linalg.norm(post.map_estimate - theta_true) < 0.5
+
+
+# model -> (scale, degree M, approximation radius R) of the ball-fit statistics
+BALL_MODELS = {"logit": (None, 6, 4.0), "poisson": (None, 4, 2.0), "shuber": (1.5, 6, 3.0)}
+
+
+@functools.cache
+def ball_stats(model, d, seed):
+    scale, M, R = BALL_MODELS[model]
+    train = synthesize_arrays(model, d, 200, seed, np.linspace(0.8, -0.4, d), scale=scale)
+    return build_stats(ArrayStream(*train), get_mapping(model, scale), M, R)
+
+
+class TestBallFit:
+    """``posterior_general`` over a ball of radius ``r``, drawn as a share of
+    the free mode's norm: the mode is feasible, its multiplier is not
+    negative, it meets the projected-gradient rule, the Laplace fit inverts
+    the surrogate's Hessian there, and a ball that does not bind changes
+    nothing."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(BALL_MODELS)),
+        d=st.sampled_from([1, 2, 3, 5]),
+        seed=st.integers(0, 3),
+        share=st.floats(0.05, 1.5),
+        flat=st.booleans(),
+    )
+    def test_ball_mode_is_feasible_and_stationary(self, model, d, seed, share, flat):
+        stats = ball_stats(model, d, seed)
+        prior = PriorSpec.flat() if flat else PriorSpec.gaussian(4.0)
+        free = posterior_general(stats, None, prior)
+        r = share * float(np.linalg.norm(free.map_estimate))
+        post = posterior_general(stats, None, prior, domain_radius=r)
+        theta = post.map_estimate
+        assert np.linalg.norm(theta) <= r * (1 + 4 * 2**-52)
+        assert post.multiplier >= 0
+        grad, scale = post.surface.gradient(theta), max(1.0, abs(post.surface.value(theta)))
+        ascent = theta + grad
+        projected = ascent * min(1.0, r / float(np.linalg.norm(ascent)))
+        assert np.linalg.norm(projected - theta) <= posterior._GRAD_TOL * scale
+        # the multiplier is the boundary's: grad = multiplier * theta, up to the
+        # search's tolerance on |theta| times the curvature
+        assert np.linalg.norm(grad - post.multiplier * theta) <= 1e-4 * scale
+        # the Laplace fit takes the surrogate's own Hessian, not the penalized one
+        np.testing.assert_allclose(post.laplace.cov() @ -post.surface.hessian(theta), np.eye(d), atol=1e-8)
+        if r >= np.linalg.norm(free.map_estimate):
+            assert post.multiplier == 0.0
+            assert theta.tobytes() == free.map_estimate.tobytes()
+            assert post.laplace.chol.tobytes() == free.laplace.chol.tobytes()
 
 
 class TestPolySurface:

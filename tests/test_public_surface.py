@@ -40,6 +40,8 @@ READ_FIELDS = [
     ("mappings", "Term"),
     ("mappings", "MappingSpec"),
     ("posterior", "PriorSpec"),
+    ("posterior", "GaussianPosterior"),
+    ("posterior", "SurrogatePosterior"),
     ("data", "ProjectionSpec"),
     ("baselines", "MalaConfig"),
     ("metrics", "EvalReport"),
