@@ -212,10 +212,10 @@ def posterior_lr2(stats: SuffStats, approx: PolyApprox | None, prior: PriorSpec)
     d = stats.index_set.d
     vals = stats.values()
     t1 = vals[1 : d + 1]
-    pairs = stats.index_set.rows[1 + d :]
+    prefix, last = stats.index_set.parent[2]  # a degree-1 index's position is its variable
     T2 = np.empty((d, d))
-    T2[pairs[:, 0], pairs[:, 1]] = vals[1 + d :]
-    T2[pairs[:, 1], pairs[:, 0]] = vals[1 + d :]
+    T2[prefix, last] = vals[1 + d :]
+    T2[last, prefix] = vals[1 + d :]
 
     prec_diag = prior.precision_diag(d)
     precision = -2.0 * b[2] * T2
@@ -236,8 +236,9 @@ class PolySurface:
     As ``d/dtheta_u theta**(j + e_u) = (j_u + 1) theta**j``, the gradient is
     a fixed ``(d, |K_<M|)`` matrix times the monomials of degree below ``M``,
     and the Hessian's upper triangle one row per pair ``u <= v`` over
-    ``K_<M-1``.  Both are built once from ``MultiIndexSet.up``; the Hessian
-    is mirrored, so it is exactly symmetric.
+    ``K_<M-1``.  Both are built once from ``MultiIndexSet.up`` and ``multinom``;
+    the Hessian is mirrored, so it is exactly symmetric.  The monomials are
+    ``MultiIndexSet.monomials`` of ``theta`` as a one-record batch.
     """
 
     def __init__(self, index_set: MultiIndexSet, coefficients: np.ndarray):
@@ -246,29 +247,32 @@ class PolySurface:
         if self.coefficients.shape != (len(index_set),):
             raise InvalidInputError("coefficient vector does not match the index set")
         c, up = self.coefficients, index_set.up
-        rows = index_set.rows[: len(up)]
-        E = np.zeros(up.shape, dtype=np.int8)  # E[j, u]: the exponent of u in index j
-        np.add.at(E, (np.nonzero(rows >= 0)[0], rows[rows >= 0]), 1)
-        self._grad = (c[up] * (E + 1.0)).T
+        # k[j, u] = (|j| + 1) multinom[j] / multinom[j + e_u], the exponent of u in
+        # j + e_u; exact, as both divide (|j| + 1)!, a float64 integer up to 22!
+        head = index_set.multinom[: len(up)] * (index_set.degrees[: len(up)] + 1)
+        k = (head[:, None] / index_set.multinom[up]).astype(np.int8)
+        self._grad = (c[up] * k).T
         low = index_set.offsets[max(index_set.M - 1, 0)]
         self._pairs = u, v = np.triu_indices(index_set.d)
-        hess = c[up[up[:low][:, u], v]] * (E[:low, u] + 1.0)
-        hess *= E[:low, v] + (u == v) + 1.0
+        plus_u = up[:low][:, u]
+        hess = c[up[plus_u, v]]
+        hess *= k[:low, u]
+        hess *= k[plus_u, v]
         self._hess = hess.T
 
-    def _monomials(self, theta: np.ndarray, stop: int | None = None) -> np.ndarray:
-        # the -1 padding picks the appended 1.0
-        return np.prod(np.append(theta, 1.0)[self.index_set.rows[:stop]], axis=1)
+    def _monomials(self, theta: np.ndarray, top: int) -> np.ndarray:
+        """The monomials of degree at most ``top`` (none when ``top < 0``)."""
+        return self.index_set.monomials(theta[None, :], max(top, -1))[:, 0]
 
     def value(self, theta: np.ndarray) -> float:
-        return float(self.coefficients @ self._monomials(theta))
+        return float(self.coefficients @ self._monomials(theta, self.index_set.M))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self._grad @ self._monomials(theta, self._grad.shape[1])
+        return self._grad @ self._monomials(theta, self.index_set.M - 1)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         H = np.empty((self.index_set.d,) * 2)
-        H[self._pairs] = H[self._pairs[::-1]] = self._hess @ self._monomials(theta, self._hess.shape[1])
+        H[self._pairs] = H[self._pairs[::-1]] = self._hess @ self._monomials(theta, self.index_set.M - 2)
         return H
 
 
@@ -368,14 +372,16 @@ def _newton(surface, theta: np.ndarray, tol, max_iter: int):
 
 
 def _ball_mode(surface: PolySurface, theta: np.ndarray, radius: float):
-    """The maximizer of ``surface`` over ``|theta| <= radius``, the surface's
-    Hessian there and the ball's multiplier ``lam``: 0.0 for a free mode
-    inside the ball, else the ``lam`` where the mode of ``surface - lam
-    |theta|^2 / 2`` has norm ``radius``, found by safeguarded Newton steps on
-    ``1/|theta| - 1/radius`` (slope ``-theta' H^-1 theta / |theta|^3 > 0`` for
-    the penalized ``H``; Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983)
-    until ``| |theta| - radius |`` and, at the mode scaled onto the sphere, the
-    projected gradient ``|P(theta + grad) - theta|`` both meet ``_GRAD_TOL``."""
+    """The maximizer ``theta`` of ``surface`` over ``|theta| <= radius``, the
+    surface's Hessian there and the ball's multiplier, 0.0 for a free mode
+    inside the ball.  Otherwise safeguarded Newton steps on ``1/|theta| -
+    1/radius`` (slope ``-theta' H^-1 theta / |theta|^3 > 0`` for the penalized
+    ``H``; Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983) move ``lam``
+    until the mode of ``surface - lam |theta|^2 / 2``, scaled onto the
+    sphere, meets ``_GRAD_TOL`` in ``| |theta| - radius |`` and in the
+    residual ``|grad - multiplier * theta|``, the multiplier read there as
+    ``max(0, grad . theta) / radius^2``.  The residual bounds the projected
+    gradient ``|P(theta + grad) - theta|`` (the projection is nonexpansive)."""
     tol = lambda f: _GRAD_TOL * max(1.0, abs(f))
     theta, H = _newton(surface, theta, tol, _MAX_ITER)
     lam, lo, hi = 0.0, 0.0, math.inf
@@ -389,10 +395,11 @@ def _ball_mode(surface: PolySurface, theta: np.ndarray, radius: float):
         if norm <= radius and lam == 0.0:
             return theta, H, lam
         on_sphere = theta * (radius / norm)
-        ascent = on_sphere + surface.gradient(on_sphere)
-        ascent *= min(1.0, radius / float(np.linalg.norm(ascent)))
-        if max(abs(norm - radius), np.linalg.norm(ascent - on_sphere)) <= tol(surface.value(on_sphere)):
-            return on_sphere, surface.hessian(on_sphere), lam
+        grad = surface.gradient(on_sphere)
+        multiplier = max(0.0, float(grad @ on_sphere)) / radius**2
+        residual = np.linalg.norm(grad - multiplier * on_sphere)
+        if max(abs(norm - radius), residual) <= tol(surface.value(on_sphere)):
+            return on_sphere, surface.hessian(on_sphere), multiplier
         lo, hi = (lam, hi) if norm > radius else (lo, lam)
         h_inv_theta = linalg.cho_solve((linalg.cholesky(-H, lower=True), True), theta)
         lam += (1.0 / radius - 1.0 / norm) * norm**3 / float(theta @ h_inv_theta)
@@ -428,14 +435,13 @@ def posterior_general(
         _check_poisson_convexity(_approxes(stats, approx)[1])
     try:
         theta, H, lam = _ball_mode(surface, prior.mean_vector(stats.index_set.d), domain_radius or math.inf)
-    except linalg.LinAlgError:
-        _raise_nonconcave(stats)
-    if np.max(np.linalg.eigvalsh(H)) >= 0:
+        laplace = _gaussian_at(theta.copy(), -H)  # its Cholesky is the concavity verdict at the mode
+    except (linalg.LinAlgError, NotPositiveDefiniteError):
         _raise_nonconcave(stats)
     return SurrogatePosterior(
         surface=surface,
         map_estimate=theta,
-        laplace=_gaussian_at(theta.copy(), -H),
+        laplace=laplace,
         domain_radius=domain_radius,
         multiplier=lam,
     )

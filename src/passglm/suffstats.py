@@ -1,13 +1,13 @@
 """Polynomial approximate sufficient statistics: enumeration, accumulation, merge.
 
-Statistics are indexed by multi-indices ``k`` with total degree at most ``M``.
-A multi-index of degree ``m`` is stored as its ``m`` variable indices in
-nondecreasing order, padded with -1 to ``M`` columns, so the whole index set
-is one ``(|K|, M)`` integer array.  Its canonical order is by degree, then,
-within a degree, ``itertools.combinations_with_replacement`` order; for the
-degree-2 block that is ``np.triu_indices(d)`` order.  Positions follow from
-the combinatorial number system, so a lower-degree set is a prefix of every
-higher-degree one.
+Statistics are indexed by multi-indices ``k`` with total degree at most
+``M``, in canonical order: by degree, then in
+``itertools.combinations_with_replacement`` order (``np.triu_indices(d)``
+order for degree 2), so a lower-degree set is a prefix of every higher-degree
+one.  The set is one relation, ``MultiIndexSet.parent``: each index of
+degree ``m >= 1`` is its prefix, of degree ``m - 1``, plus its last
+variable, no smaller than the prefix's.  The position tables, the
+multinomial coefficients and the monomials all follow from it.
 
 Two accumulation forms exist:
 
@@ -28,7 +28,7 @@ block.  A degree-``m`` index with ``m >= 3`` splits into a head (its first
 ``m // 2`` variables) and a tail (the other ``m - m // 2``), so its entry is
 the sum over records of the weight times a head monomial times a tail
 monomial.  The kernel therefore builds feature-major ``(k, B)`` monomials
-only up to degree ``ceil(M / 2)`` (at d = 10, M = 6, 285 rows of degrees 1
+only up to degree ``ceil(M / 2)`` (at d = 10, M = 6, 286 rows of degrees 0
 to 3 instead of all 8,008 indices).  A head whose last variable is ``a``
 pairs exactly with the tails whose first variable is at least ``a``, a
 suffix of the tail block, so heads are grouped by last variable and each
@@ -103,82 +103,89 @@ _CHUNK_WASTE = 1.5
 class MultiIndexSet:
     """All multi-indices of dimension ``d`` and total degree at most ``M``.
 
-    ``rows`` is a ``(|K|, M)`` int64 array: row ``i`` lists the variables of
-    index ``i`` in nondecreasing order, padded with -1.  ``degrees[i]`` is its
-    total degree, ``multinom[i]`` the multinomial coefficient ``(|k|; k)`` and
-    ``offsets[m]`` the position of the first index of degree ``m``.
+    ``parent[m] = (prefix, last)`` for ``1 <= m <= M`` (int64, one entry per
+    index of degree ``m``): the position of its prefix within the degree
+    ``m - 1`` block and its last variable.  The indices with one prefix ``j``
+    are contiguous, one per variable from ``last(j)`` on.  ``degrees[i]`` is
+    the total degree of index ``i``, ``multinom[i]`` the multinomial
+    coefficient ``(|k|; k)`` and ``offsets[m]`` the position of the first
+    index of degree ``m``.
     """
 
-    def __init__(self, d: int, M: int, rows: np.ndarray):
+    def __init__(self, d: int, M: int, parent: list):
         self.d = d
         self.M = M
-        self.rows = rows
+        self.parent = parent
         self.offsets = np.array(
             [0] + [math.comb(d + m - 1, m - 1) for m in range(1, M + 2)], dtype=np.int64
         )
         self.degrees = np.repeat(np.arange(M + 1), np.diff(self.offsets))
-        # run[:, i] counts the copies of rows[:, i] among rows[:, :i + 1]
-        run = np.ones(rows.shape, dtype=np.int64)
-        for i in range(1, M):
-            run[:, i] = np.where(rows[:, i] == rows[:, i - 1], run[:, i - 1] + 1, 1)
-        denom = np.where(rows >= 0, run, 1).prod(axis=1)
-        factorial = np.array([math.factorial(m) for m in range(M + 1)], dtype=float)
-        self.multinom = factorial[self.degrees] / denom
+        # multinom = m! / prod(k_u!); the last variable's exponent ("run") is
+        # its prefix's plus one where the prefix ends in the same variable
+        self.multinom = np.ones(len(self))
+        run = denom = np.ones(d, dtype=np.int64)
+        for m in range(2, M + 1):
+            prefix, last = parent[m]
+            run = np.where(parent[m - 1][1][prefix] == last, run[prefix] + 1, 1)
+            denom = denom[prefix] * run
+            block = self.multinom[self.offsets[m] : self.offsets[m + 1]]
+            np.divide(float(math.factorial(m)), denom, out=block)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return int(self.offsets[-1])
 
     @cached_property
-    def _tails(self) -> np.ndarray:
-        """``_tails[a, k]``: the number of nondecreasing ``k``-tuples of the
-        ``d - 1 - a`` variables above ``a``."""
-        above = self.d - 1 - np.arange(self.d)
-        out = np.ones((self.d, self.M + 1), dtype=np.int64)
-        for k in range(1, self.M + 1):
-            out[:, k] = out[:, k - 1] * (above + k - 1) // k
+    def rows(self) -> np.ndarray:
+        """``(|K|, M)`` int64: row ``i`` lists the variables of index ``i`` in
+        nondecreasing order, padded with -1; built from ``parent`` when read."""
+        o = self.offsets
+        out = np.full((len(self), self.M), -1, dtype=np.int64)
+        for m in range(1, self.M + 1):
+            prefix, last = self.parent[m]
+            out[o[m] : o[m + 1], :m] = np.column_stack([out[o[m - 1] : o[m], : m - 1][prefix], last])
         return out
-
-    def _rank(self, cols: np.ndarray) -> np.ndarray:
-        """Positions within the degree-``j`` block of the indices whose ``j``
-        nondecreasing variables are the columns of ``cols``, by the
-        combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): the indices
-        after ``a`` that first differ from it in column ``i`` are the
-        nondecreasing ``(j - i)``-tuples of variables above ``a_i``."""
-        j = cols.shape[1]
-        after = np.zeros(len(cols), dtype=np.int64)
-        for i in range(j):
-            after += self._tails[cols[:, i], j - i]
-        return self.offsets[j + 1] - self.offsets[j] - 1 - after
-
-    def _block(self, m: int) -> np.ndarray:
-        return self.rows[self.offsets[m] : self.offsets[m + 1]]
-
-    @cached_property
-    def parent(self) -> list:
-        """``parent[j] = (prefix, last)`` for ``2 <= j <= ceil(M / 2)``: for
-        each index of degree ``j``, the position within the degree ``j - 1``
-        block of the index with its last variable dropped, and that variable."""
-        top = (self.M + 1) // 2
-        return [None, None] + [
-            (self._rank(self._block(j)[:, : j - 1]), self._block(j)[:, j - 1].copy())
-            for j in range(2, top + 1)
-        ]
 
     @cached_property
     def up(self) -> np.ndarray:
-        """``up[j, u]`` for each index ``j`` of degree below ``M``: the
-        position of ``j + e_u``, the index with the variable ``u`` added
-        (int32).  Each degree sorts every variable into its rows and ranks
-        them, ``_BLOCK_BYTES`` of candidates at a time."""
-        out = np.empty((self.offsets[self.M], self.d), dtype=np.int32)
-        for m in range(self.M):
-            block, flat = self._block(m)[:, :m], out[self.offsets[m] : self.offsets[m + 1]].reshape(-1)
-            step = _BLOCK_BYTES // (8 * (m + 1))
-            for lo in range(0, flat.size, step):
-                at = np.arange(lo, min(lo + step, flat.size))
-                cols = np.sort(np.column_stack([block[at // self.d], at % self.d]), axis=1)
-                flat[lo : lo + step] = self.offsets[m + 1] + self._rank(cols)
+        """``up[j, u]`` for each index ``j`` of degree ``m < M``: the position
+        of ``j + e_u`` (int32).  For ``u >= last(j)`` that is ``j``'s child by
+        ``u``, else the child by ``last(j)`` of ``up[prefix(j), u]``; the child
+        of ``i`` by ``v`` is ``first(i) + v - last(i)``, with ``first(i)`` the
+        position of ``i``'s first child.  Rows are filled in blocks whose int64
+        temporaries are ``_BLOCK_BYTES / 2`` each."""
+        d, o = self.d, self.offsets
+        out = np.empty((o[self.M], d), dtype=np.int32)
+        u = np.arange(d)
+        out[: min(self.M, 1)] = o[1] + u
+        step = max(1, _BLOCK_BYTES // (16 * d))
+        for m in range(1, self.M):
+            prefix, last = self.parent[m]
+            first = o[m + 1] + np.cumsum(d - last) - (d - last)
+            for lo in range(0, len(last), step):
+                j = np.arange(lo, min(lo + step, len(last)))
+                at = out[o[m - 1] + prefix[j]] - o[m]
+                np.copyto(at, j[:, None], where=u >= last[j, None])
+                pos = np.maximum(u, last[j, None])
+                pos += first[at] - last[at]
+                out[o[m] + lo : o[m] + lo + len(j)] = pos
         return out
+
+    def monomials(self, x: np.ndarray, top: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Feature-major monomials ``(offsets[top + 1], B)`` of degree at most
+        ``top`` of the rows of ``x`` (``(B, d)``), each its prefix's times its
+        last variable; ``out``, when given, is a flat buffer to fill."""
+        o, B = self.offsets, len(x)
+        size = o[top + 1] * B
+        mono = (np.empty(size) if out is None else out[:size]).reshape(o[top + 1], B)
+        mono[:1] = 1.0
+        if top >= 1:
+            mono[1 : self.d + 1] = x.T
+        for m in range(2, top + 1):
+            prefix, last = self.parent[m]
+            rows = mono[o[m] : o[m + 1]]
+            np.take(mono[o[m - 1] : o[m]], prefix, axis=0, out=rows, mode="clip")
+            rows *= mono[1 : self.d + 1][last]
+        return mono
 
     @cached_property
     def halves(self) -> list:
@@ -206,7 +213,7 @@ class MultiIndexSet:
             h, t = m // 2, m - m // 2
             # count[a]: the tails whose first variable is at least a
             count = np.array([math.comb(self.d - a + t - 1, t) for a in range(self.d)], dtype=np.int64)
-            last = self._block(h)[:, h - 1]
+            last = self.parent[h][1]
             first = self.offsets[m] + np.cumsum(count[last]) - count[last]
             order = np.argsort(last, kind="stable")
             last, first = last[order], first[order]
@@ -237,7 +244,7 @@ class MultiIndexSet:
     @cached_property
     def held(self) -> int:
         """The monomials per record the kernel holds at degree ``M >= 3``:
-        the transposed covariates, every degree up to ``ceil(M / 2)`` and the
+        degrees 1 (the transposed covariates) to ``ceil(M / 2)`` and the
         (weighted) heads of one chunk."""
         rows = max((len(dest) for chunks in self.halves[3:] for _, _, dest in chunks), default=0)
         return int(self.offsets[(self.M + 1) // 2 + 1] - self.offsets[1] + rows)
@@ -259,20 +266,15 @@ def enumerate_indices(d: int, M: int, cap: int = DEFAULT_INDEX_CAP) -> MultiInde
             f"index set for d={d}, M={M} has {count} entries, exceeding the cap "
             f"{cap}; reduce the dimension (sparse random projection) or raise the cap"
         )
-    # each degree-m row extends a degree-(m - 1) row by one variable >= its last
-    rows = np.full((count, M), -1, dtype=np.int64)
-    prev, low, at = rows[:1, :0], np.zeros(1, dtype=np.int64), 1
+    # the children of each degree-(m - 1) index: one per variable from its last on
+    parent, last = [None], np.zeros(1, dtype=np.int64)
     for m in range(1, M + 1):
-        counts = d - low
-        src = np.repeat(np.arange(len(prev)), counts)
-        ends = np.cumsum(counts)
-        low = np.arange(ends[-1]) - np.repeat(ends - counts, counts) + low[src]
-        block = rows[at : at + len(src), :m]
-        block[:, : m - 1] = prev[src]
-        block[:, m - 1] = low
-        prev, at = block, at + len(src)
-    assert at == count
-    return MultiIndexSet(d, M, rows)
+        counts = d - last
+        prefix = np.repeat(np.arange(len(last)), counts)
+        # a child's last variable is its prefix's plus its place among the siblings
+        last = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts - last, counts)
+        parent.append((prefix, last))
+    return MultiIndexSet(d, M, parent)
 
 
 def _caller_level() -> int:
@@ -284,21 +286,14 @@ def _caller_level() -> int:
     return level
 
 
-def _monomial_space(iset: MultiIndexSet, records: int) -> list:
-    """Buffers for the monomials of degrees 2 to ``ceil(M / 2)`` of up to
-    ``records`` records, which ``_delta`` fills; kept across blocks, so that
-    no block maps fresh pages."""
-    return [np.empty(records * prefix.size) for prefix, _ in iset.parent[2:]]
-
-
 def _delta(iset: MultiIndexSet, base: np.ndarray, G: np.ndarray | None, space=None) -> np.ndarray:
     """Statistics of one block of records: ``base`` is ``(B, d)`` (``y x`` for
     raw monomial sums, else ``x``) and ``G`` the ``(B, M + 1)`` degree weights,
     ``None`` for raw sums.
 
     Degrees 0 to 2 come from ``base`` as column sums and one Gram product.
-    For degree 3 and up, feature-major ``(k, B)`` monomials are built only up
-    to degree ``ceil(M / 2)``, and each chunk of ``MultiIndexSet.halves``
+    For degree 3 and up, ``MultiIndexSet.monomials`` builds the monomials only
+    up to degree ``ceil(M / 2)``, and each chunk of ``MultiIndexSet.halves``
     takes one matrix product of its heads with the suffix of tails they pair
     with, scattered to its entries.  The degree weight goes on the heads,
     which are never wider than the tails.
@@ -309,20 +304,15 @@ def _delta(iset: MultiIndexSet, base: np.ndarray, G: np.ndarray | None, space=No
         delta[1 : iset.d + 1] = base.sum(axis=0) if G is None else base.T @ G[:, 1]
     if iset.M >= 2:
         weighted = base if G is None else G[:, 2, None] * base
-        pairs = iset._block(2)
-        delta[iset.offsets[2] : iset.offsets[3]] = (base.T @ weighted)[pairs[:, 0], pairs[:, 1]]
+        prefix, last = iset.parent[2]
+        delta[iset.offsets[2] : iset.offsets[3]] = (base.T @ weighted)[prefix, last]
     if iset.M >= 3:
-        B = len(base)
-        space = _monomial_space(iset, B) if space is None else space
-        mono = [None, np.ascontiguousarray(base.T)]
-        for (prefix, last), flat in zip(iset.parent[2:], space):
-            rows = flat[: prefix.size * B].reshape(prefix.size, B)
-            np.take(mono[-1], prefix, axis=0, out=rows, mode="clip")
-            rows *= mono[1][last]
-            mono.append(rows)
+        o = iset.offsets
+        mono = iset.monomials(base, (iset.M + 1) // 2, space)
         GT = None if G is None else np.ascontiguousarray(G.T)
         for m in range(3, iset.M + 1):
-            heads, tails = mono[m // 2], mono[m - m // 2]
+            h, t = m // 2, m - m // 2
+            heads, tails = mono[o[h] : o[h + 1]], mono[o[t] : o[t + 1]]
             weight = None if G is None else GT[m]
             for rows, start, dest in iset.halves[m]:
                 H = heads[rows]
@@ -426,7 +416,8 @@ class SuffStats:
         base = y[:, None] * X if self.mapping.raw_monomial else X
         G = None if self.mapping.raw_monomial else degree_weights(self.mapping, self.approxes, y)
         step = max(1, len(y) if iset.M <= 2 else max(_BLOCK_BYTES // 8, len(iset)) // iset.held)
-        space = _monomial_space(iset, min(step, len(y))) if iset.M >= 3 else None
+        # the monomials' buffer is kept across blocks, so that no block maps fresh pages
+        space = np.empty(min(step, len(y)) * iset.offsets[(iset.M + 1) // 2 + 1]) if iset.M >= 3 else None
         for lo in range(0, len(y), step):
             sub = None if G is None else G[lo : lo + step]
             self.t += _delta(iset, base[lo : lo + step], sub, space)

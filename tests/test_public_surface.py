@@ -125,3 +125,35 @@ def test_every_private_name_is_referenced():
             if name not in here | elsewhere | imported:
                 unused.append(f"{module}.{name}")
     assert unused == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_names() -> list[tuple[str, str]]:
+    """``(module, name)`` for each ``pg.<name>`` the benchmark reads, where
+    ``pg`` is ``import passglm as pg``, and each name it imports ``from
+    passglm...``."""
+    names = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name.split(".")[0] == "passglm"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "passglm":
+                names += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                names.append((aliases[node.value.id], node.attr))
+    return sorted(set(names))
+
+
+def test_perfbench_reads_only_names_the_package_has():
+    names = _perfbench_names()
+    assert ("passglm", "enumerate_indices") in names and ("passglm.suffstats", "crc32c") in names
+    missing = [f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(m), n)]
+    assert missing == []

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passglm.errors import (
@@ -151,6 +151,34 @@ class TestEnumerateIndices:
             enumerate_indices(0, 2)
         with pytest.raises(InvalidInputError):
             enumerate_indices(3, -1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 8), M=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    @example(d=1, M=0, seed=0)
+    @example(d=4, M=1, seed=0)
+    def test_prefix_relation_derives_every_table(self, d, M, seed):
+        """``parent`` rebuilds ``combinations_with_replacement`` order degree
+        by degree; ``up``, ``multinom`` and ``monomials`` match brute force
+        over the sorted variable tuples."""
+        iset = enumerate_indices(d, M)
+        tuples = [()]
+        for m in range(1, M + 1):
+            prefix, last = iset.parent[m]
+            block = [tuples[iset.offsets[m - 1] + p] + (v,) for p, v in zip(prefix, last)]
+            assert block == list(itertools.combinations_with_replacement(range(d), m))
+            tuples += block
+        position = {t: i for i, t in enumerate(tuples)}
+        up = [[position[tuple(sorted(t + (u,)))] for u in range(d)] for t in tuples[: iset.offsets[M]]]
+        assert iset.up.tolist() == up
+        counts = [[t.count(u) for u in range(d)] for t in tuples]
+        expected = [math.factorial(sum(k)) / math.prod(map(math.factorial, k)) for k in counts]
+        assert iset.multinom.tolist() == expected
+        theta = np.random.default_rng(seed).uniform(-1.5, 1.5, (3, d))
+        mono = iset.monomials(theta, M)
+        assert mono.shape == (len(iset), 3)
+        # theta**k multiplied left to right over the sorted variables, as
+        # the recurrence does, so the values are equal bit for bit
+        assert mono.T.tolist() == [[math.prod(row[list(t)]) for t in tuples] for row in theta]
 
 
 class TestAccumulate:
@@ -409,7 +437,7 @@ class TestKernel:
         # default, and one last variable's heads split at 512 bytes (a head
         # of degree 1 is its last variable's only one)
         lasts = [
-            [np.unique(iset._block(m // 2)[heads, m // 2 - 1]) for heads, _, _ in iset.halves[m]]
+            [np.unique(iset.parent[m // 2][1][heads]) for heads, _, _ in iset.halves[m]]
             for m in range(3, M + 1)
         ]
         merged = any(c.size > 1 for chunks in lasts for c in chunks)
