@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidInputError, NumericError, PassGlmError
+from .errors import InvalidInputError, PassGlmError
 from .mappings import MappingSpec, _binary_labels, _csr_is_smaller, _dense, get_mapping
-from .suffstats import SuffStats, enumerate_indices, deserialize, new_stats, serialize
+from .suffstats import SuffStats, enumerate_indices, new_stats
 
 __all__ = [
     "RecordStream",
@@ -87,13 +87,9 @@ class _RoundRobinView(RecordStream):
         self.d = base.d
 
     def _iter_batches(self, batch_size: int):
-        offset = 0
-        for y, X in self.base.batches(batch_size):
-            take = np.arange(len(y)) + offset
-            mask = take % self.count == self.index
-            if mask.any():
-                yield y[mask], X[mask]
-            offset += len(y)
+        for i, y, X in _deal(self.base.batches(batch_size), self.count):
+            if i == self.index:
+                yield y, X
 
 
 class ArrayStream(RecordStream):
@@ -259,7 +255,9 @@ class LibsvmStream(RecordStream):
                     # the first record holding one; its last index is its largest
                     rec = np.searchsorted(indptr, np.argmax(idx >= limit), side="right") - 1
                     top = int(idx[indptr[rec + 1] - 1])
-                    error = InvalidInputError(f"index {top + 1} exceeds declared dimension {limit}")
+                    error = InvalidInputError(
+                        f"index {top + 1} exceeds declared dimension {limit} at record {records + rec}"
+                    )
                     y = y[:rec]
                 if self.labels != "raw":  # the labels before an error raise first
                     y = _binary_labels(y, self.labels, records)
@@ -659,8 +657,8 @@ def run_sharded(
     radius: float,
     batch_size: int = DEFAULT_BATCH,
 ) -> SuffStats:
-    """Accumulate statistics over ``shards`` worker processes and merge the
-    results in shard order.
+    """Accumulate statistics over ``shards`` worker processes and add their
+    sums in shard order.
 
     ``source`` is a :class:`RecordStream`, split round-robin: shard ``i``
     holds the records of ``source.shard(i, shards)``, numbers ``i, i +
@@ -671,17 +669,18 @@ def run_sharded(
     its base does; when the base is dealt, its records go out as sparse rows
     and each worker projects its own.  Either way a worker folds the batches
     that ``build_stats(source.shard(i, shards))`` folds, so the statistics do
-    not depend on the route.  Several files are either built one by one and
-    merged, or wrapped in one stream whose records are then dealt.
+    not depend on the route.
 
     With ``shards == 1`` this is exactly the sequential path.  Workers are
-    forked processes that send back their serialized statistics; when fork is
-    unavailable the shards run one after another in-process, which changes
-    timing but not the result.  An error of the reader is raised as it is.
-    An error of a worker is raised with its own type and a message naming the
-    shard; a :class:`NumericError` carries the record's number in the whole
-    stream.  No worker outlives the call.  A warning a worker raises is raised
-    again here, once per distinct message, after the merge.
+    forked processes, which inherit ``mapping`` and send back only their raw
+    sums, so any mapping shards.  When fork is unavailable the shards fold
+    here, own shards one after another and dealt records as the stream is
+    read once, which changes timing but not the result.  An error of the
+    reader is raised as it is.  An error of a worker is raised with
+    its own type and a message naming the shard; one that names a record
+    (``record_index``) numbers it in the whole stream.  No worker outlives
+    the call.  A warning a worker raises is raised again here, once per
+    distinct message, after the sums are added.
     """
     if not isinstance(source, RecordStream):
         raise InvalidInputError(
@@ -694,35 +693,31 @@ def run_sharded(
         raise InvalidInputError("shard count must be >= 1")
     if shards == 1:
         return build_stats(source, mapping, M, radius, batch_size=batch_size)
-    if mapping.model_id is None:
-        raise InvalidInputError(
-            f"sharded execution requires a registered model; mapping {mapping.name!r} has no model id"
-        )
     base = source.base if isinstance(source, ProjectedStream) else source
     streams = None
     if type(base).shard is not RecordStream.shard:
         streams = [source.shard(i, shards) for i in range(shards)]
     job = mapping, M, radius, batch_size
     if "fork" in mp.get_all_start_methods():
-        payloads = _fork_shards(source, streams, shards, job)
+        replies = _fork_shards(source, streams, shards, job)
+    elif streams is not None:
+        replies = [_payload(_fold_shard(s, *job), i, shards) for i, s in enumerate(streams)]
     else:
-        streams = streams or [source.shard(i, shards) for i in range(shards)]
-        payloads = [_payload(_fold_shard(s, *job), i, shards) for i, s in enumerate(streams)]
-    merged, caught = None, {}
-    for payload, found in payloads:
-        part = deserialize(payload)
-        merged = part if merged is None else merged.merge(part)
+        replies = _fold_dealt_here(source, shards, job)
+    stats, caught = new_stats(enumerate_indices(source.d, M), mapping, radius), {}
+    for (t, n), found in replies:
+        stats.t += t
+        stats.n += n
         caught.update(dict.fromkeys(found))
     for text, category in caught:
         warnings.warn(text, category, stacklevel=2)
-    return merged
+    return stats
 
 
 def _fork_shards(source, streams, count: int, job) -> list[tuple]:
-    """Serialized statistics and warnings of each shard, each folded in a
-    forked process of its own.  With ``streams`` a worker reads its own
-    stream; without, ``source`` is read here and dealt (see
-    :func:`run_sharded`)."""
+    """The sums and warnings of each shard, each folded in a forked process
+    of its own.  With ``streams`` a worker reads its own stream; without,
+    ``source`` is read here and dealt (see :func:`run_sharded`)."""
     ctx = mp.get_context("fork")
     projected = isinstance(source, ProjectedStream)
     reader = source.base if projected else source
@@ -754,14 +749,9 @@ def _fork_shards(source, streams, count: int, job) -> list[tuple]:
         if streams is None:
             if projected:  # the source counts its pass, as its base does
                 source.passes += 1
-            offset = 0
-            for y, X in reader.batches(job[3]):
-                A = _csr(X) if projected else X
-                for i in range(count):
-                    first = (i - offset) % count
-                    if first < len(y):
-                        send(i, (y[first::count], A[first::count]))
-                offset += len(y)
+            batches = reader.batches(job[3])
+            for i, y, A in _deal(((y, _csr(X)) for y, X in batches) if projected else batches, count):
+                send(i, (y, A))
             for i in range(count):
                 send(i, None)
         return [
@@ -779,6 +769,34 @@ def _fork_shards(source, streams, count: int, job) -> list[tuple]:
             conn.close()
 
 
+def _deal(batches, count: int):
+    """``(i, y, X)`` for shard ``i``'s records of each batch, which are every
+    ``count``-th record of the stream from record ``i``."""
+    offset = 0
+    for y, X in batches:
+        for i in range(count):
+            first = (i - offset) % count
+            if first < len(y):
+                yield i, y[first::count], X[first::count]
+        offset += len(y)
+
+
+def _fold_dealt_here(source, count: int, job) -> list[tuple]:
+    """What :func:`_fork_shards` returns for a dealt ``source``, folded here
+    as it is read once (a projection gives a record one row in any stream)."""
+    mapping, M, radius, batch_size = job
+    index_set, caught = enumerate_indices(source.d, M), {}
+    parts = [new_stats(index_set, mapping, radius) for _ in range(count)]
+    for i, y, X in _deal(source.batches(batch_size), count):
+        with warnings.catch_warnings(record=True) as found:
+            try:
+                parts[i].accumulate_batch(y, X)
+            except Exception as exc:  # raised with its shard, as a worker's error is
+                _payload(("error", exc, traceback.format_exc()), i, count)
+        caught.update(dict.fromkeys((str(w.message), w.category) for w in found))
+    return [((part.t, part.n), list(caught)) for part in parts]
+
+
 class _DealtStream(RecordStream):
     """A worker's shard as the reader deals it: ``(y, X)`` pieces received
     over a pipe, up to ``None``."""
@@ -793,12 +811,12 @@ class _DealtStream(RecordStream):
 
 
 def _fold_shard(stream, mapping, M, radius, batch_size):
-    """``("ok", serialized statistics, warnings)`` of one shard, each warning
-    as ``(text, category)``, or ``("error", exception, traceback text)``."""
+    """``("ok", (sums, records), warnings)`` of one shard, each warning as
+    ``(text, category)``, or ``("error", exception, traceback text)``."""
     try:
         with warnings.catch_warnings(record=True) as caught:
-            payload = serialize(build_stats(stream, mapping, M, radius, batch_size=batch_size))
-        return "ok", payload, [(str(w.message), w.category) for w in caught]
+            stats = build_stats(stream, mapping, M, radius, batch_size=batch_size)
+        return "ok", (stats.t, stats.n), [(str(w.message), w.category) for w in caught]
     except Exception as exc:  # sent to the parent, which raises it
         return "error", exc, traceback.format_exc()
 
@@ -834,14 +852,14 @@ class _WorkerTraceback(Exception):
 
 
 def _payload(reply, index: int, count: int) -> tuple:
-    """The serialized statistics and warnings of a shard's reply.  An error
-    reply is raised with the shard named in its message and, for a
-    :class:`NumericError`, the record numbered in the whole stream."""
+    """The sums and warnings of a shard's reply.  An error reply is raised
+    with the shard named in its message and, for an error that names a
+    record (``record_index``), the record numbered in the whole stream."""
     if reply[0] == "ok":
         return reply[1:]
     _, exc, trace = reply
     where = f"shard {index} of {count}"
-    if isinstance(exc, NumericError) and exc.record_index is not None:
+    if getattr(exc, "record_index", None) is not None:
         record = index + count * exc.record_index
         where += f" (its record {exc.record_index} is record {record} of the stream)"
         exc.record_index = record

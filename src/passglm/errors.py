@@ -2,7 +2,12 @@
 
 
 class PassGlmError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  ``record_index``, when
+    set, is the 0-based number of the record the error names."""
+
+    def __init__(self, *args, record_index=None):
+        super().__init__(*args)
+        self.record_index = record_index
 
 
 class InvalidInputError(PassGlmError, ValueError):
@@ -46,11 +51,7 @@ class DivergenceError(PassGlmError):
 
 
 class NumericError(PassGlmError):
-    """A non-finite value appeared during accumulation."""
-
-    def __init__(self, message, record_index=None):
-        super().__init__(message)
-        self.record_index = record_index
+    """A non-finite value appeared during accumulation or in statistics to be written."""
 
 
 class MetricError(PassGlmError, ValueError):

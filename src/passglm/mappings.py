@@ -13,9 +13,9 @@ This module is the one place that knows which models exist.  Each factory in
 :data:`MAPPING_FACTORIES` returns a :class:`MappingSpec` carrying every
 per-model fact: its terms, each term's analytic error bound (``Term.bound``),
 its label convention, its PGLM v1 file id (``model_id``) and its label
-sampler (``sample``).  The file format, the synthetic generators, the sharded
-path and the command line all read these fields, so a new model is one
-factory with a fresh ``model_id``.
+sampler (``sample``).  The file format, the synthetic generators and the
+command line read these fields, so a new model is one factory with a fresh
+``model_id``.
 
 The exact log-likelihood and its derivatives in the linear predictor
 ``x . theta`` are evaluated in one place, ``_loglik_derivs``.  The public
@@ -123,8 +123,8 @@ class MappingSpec:
     """A GLM mapping function and its term decomposition.
 
     ``model_id`` is the PGLM v1 file id of a registered model (``None`` for a
-    custom mapping, which can be neither stored nor sharded); ``sample(rng,
-    s)`` draws one label per linear predictor in ``s``.
+    custom mapping, which cannot be stored); ``sample(rng, s)`` draws one
+    label per linear predictor in ``s``.
     """
 
     name: str
@@ -156,8 +156,9 @@ class MappingSpec:
 def _checked_labels(y, first_record: int, ok=True, rule: str = "") -> np.ndarray:
     """``y`` as floats once every label is finite and ``ok`` holds for it;
     else the first bad label raises naming its record, counted from
-    ``first_record``: :class:`NumericError` if not finite, else
-    :class:`InvalidInputError` with ``rule``."""
+    ``first_record``, in its message and its ``record_index``:
+    :class:`NumericError` if not finite, else :class:`InvalidInputError`
+    with ``rule``."""
     y = np.asarray(y, dtype=float)
     good = np.isfinite(y) & ok
     if not good.all():
@@ -165,7 +166,7 @@ def _checked_labels(y, first_record: int, ok=True, rule: str = "") -> np.ndarray
         record = first_record + i
         if not np.isfinite(y[i]):
             raise NumericError(f"non-finite label at record {record}", record_index=record)
-        raise InvalidInputError(f"{rule}; record {record} has label {y[i]:g}")
+        raise InvalidInputError(f"{rule}; record {record} has label {y[i]:g}", record_index=record)
     return y
 
 

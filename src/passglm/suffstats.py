@@ -401,7 +401,8 @@ class SuffStats:
         products already sum its records uncompensated, and that error
         dominates, so a compensated add did not move the error measurably."""
         iset = self.index_set
-        X = np.asarray(_dense(X), dtype=float)
+        # one memory layout: the products over strided rows can round otherwise
+        X = np.ascontiguousarray(_dense(X), dtype=float)
         if X.ndim != 2 or X.shape[1] != iset.d:
             raise InvalidInputError(f"covariate batch must be (B, {iset.d}), got {X.shape}")
         y = np.asarray(y, dtype=float)
@@ -540,7 +541,9 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
 
 def serialize(stats: SuffStats) -> bytes:
-    """Serialize to the PGLM binary format."""
+    """Serialize to the PGLM binary format.  Every entry must be finite, as
+    :func:`deserialize` requires; the bytes are built with one copy of the
+    entries."""
     model_id = stats.mapping.model_id
     if model_id is None:
         raise InvalidInputError(
@@ -556,8 +559,12 @@ def serialize(stats: SuffStats) -> bytes:
         stats.radius,
         stats.n,
     )
-    body = header + stats.t.astype("<f8").tobytes()
-    return body + struct.pack("<I", crc32c(body))
+    t = np.ascontiguousarray(stats.t, dtype="<f8")
+    if not np.isfinite(t).all():
+        at = int(np.argmin(np.isfinite(t)))
+        raise NumericError(f"entry {at} is {float(t[at])!r}; a statistics file holds only finite entries")
+    crc = struct.pack("<I", crc32c(t.data, crc32c(header)))
+    return b"".join((header, t.data, crc))
 
 
 def deserialize(data: bytes, cap: int = DEFAULT_INDEX_CAP) -> SuffStats:
@@ -617,8 +624,9 @@ def _header_mapping(name: str, scale: float) -> MappingSpec:
 
 
 def save_stats(stats: SuffStats, path) -> None:
+    data = serialize(stats)  # before opening, so that a refusal leaves no file
     with open(path, "wb") as fh:
-        fh.write(serialize(stats))
+        fh.write(data)
 
 
 def load_stats(path) -> SuffStats:

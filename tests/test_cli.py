@@ -243,6 +243,19 @@ class TestStatsCommands:
         np.testing.assert_array_equal(via_cli.values(), in_process.values())
         assert via_cli.n == len(y)
 
+    @pytest.mark.filterwarnings("ignore")  # the overflow and the norm warning, as expected
+    def test_build_of_overflowing_statistics_exits_2(self, dataset, tmp_path, capsys):
+        _, y, X = dataset
+        X = X.copy()
+        X[5] = 1e160  # its degree-2 monomials overflow
+        path, out = tmp_path / "huge.svm", tmp_path / "stats.pglm"
+        write_libsvm(path, y, X)
+        assert run("stats", "build", "--input", path, "--model", "logit", "--degree", 2,
+                   "--radius", 4, "--dim", 3, "--out", out) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "is inf; a statistics file holds only finite entries" in errors[0]
+        assert not out.exists()
+
 
 class TestFitAndEval:
     def test_fit_gaussian_posterior(self, dataset, tmp_path):

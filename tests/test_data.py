@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import passglm.data as data
+import passglm.suffstats as suffstats
 from passglm.data import (
     ArrayStream,
     LibsvmStream,
@@ -143,9 +144,9 @@ class TestParseLibsvm:
     def test_index_beyond_declared_dimension_names_first_record(self, tmp_path):
         path = tmp_path / "h.svm"
         path.write_text("+1 1:1\n-1 2:1 4:1\n+1 9:1\n")
-        with pytest.raises(InvalidInputError, match="index 4 exceeds declared dimension 3"):
+        with pytest.raises(InvalidInputError, match="^index 4 exceeds declared dimension 3 at record 1$"):
             parse_libsvm(path, d=3).materialize()
-        with pytest.raises(InvalidInputError, match="index 4 exceeds declared dimension 3"):
+        with pytest.raises(InvalidInputError, match="^index 4 exceeds declared dimension 3 at record 1$"):
             list(parse_libsvm(path, d=3).batches(batch_size=1))
 
 
@@ -170,7 +171,7 @@ def line_oracle(stream):
             except (ValueError, OverflowError) as exc:
                 return records, f"{stream.path}:{lineno}: malformed record: {exc}"
             if idx.size and idx[-1] >= stream.d:
-                return records, f"index {idx[-1] + 1} exceeds declared dimension {stream.d}"
+                return records, f"index {idx[-1] + 1} exceeds declared dimension {stream.d} at record {len(records)}"
             if remap is not None and y not in remap:
                 k = len(records)
                 if not math.isfinite(y):
@@ -774,16 +775,48 @@ class TestRunSharded:
                 run_sharded(source, 2, mapping_logit(), 2, 4.0)
         assert not mp.active_children()
 
-    def test_unregistered_mapping_rejected_before_workers_start(self, monkeypatch):
+    @staticmethod
+    def _sharded_and_merged(kind, mapping, shards=3):
+        """``run_sharded`` statistics of a 500-record stream (``"plain"`` is
+        dealt, ``"array"`` splits itself) and its merged shard builds."""
+        rng = np.random.default_rng(11)
+        y, X = np.where(rng.random(500) < 0.5, 1.0, -1.0), rng.uniform(-0.3, 0.3, (500, 3))
+        source = (Rows if kind == "plain" else ArrayStream)(y, X)
+        sharded = run_sharded(source, shards, mapping, 2, 4.0, batch_size=64)
+        parts = [build_stats(source.shard(i, shards), mapping, 2, 4.0, batch_size=64) for i in range(shards)]
+        merged = parts[0]
+        for part in parts[1:]:
+            merged = merged.merge(part)
+        return sharded, merged
+
+    @pytest.mark.parametrize("kind", ["plain", "array"])
+    def test_custom_mapping_shards_as_its_merged_shard_builds(self, kind, route):
         custom = dataclasses.replace(mapping_logit(), name="custom-logit", model_id=None)
+        sharded, merged = self._sharded_and_merged(kind, custom)
+        assert sharded.mapping is custom
+        assert sharded.n == merged.n == 500
+        np.testing.assert_array_equal(bits(sharded.t), bits(merged.t))
 
-        def no_pool(*args):
-            raise AssertionError("a worker pool was started")
+    @pytest.mark.parametrize("kind", ["plain", "array"])
+    def test_shards_do_not_touch_the_file_format(self, kind, route, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a statistics file was checksummed")
 
-        monkeypatch.setattr(data.mp, "get_context", no_pool)
-        with pytest.raises(InvalidInputError, match="model id"):
-            run_sharded(self._dataset(100), 2, custom, 2, 4.0)
-        assert not mp.active_children()
+        monkeypatch.setattr(suffstats, "crc32c", refuse)
+        sharded, merged = self._sharded_and_merged(kind, mapping_logit())
+        np.testing.assert_array_equal(bits(sharded.t), bits(merged.t))
+
+    def test_overflowing_input_shards_to_the_statistics_of_one_pass(self, route):
+        rng = np.random.default_rng(12)
+        y, X = np.where(rng.random(60) < 0.5, 1.0, -1.0), rng.uniform(0.1, 0.3, (60, 2))
+        X[17] = 1e160  # its degree-2 monomials overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sharded = run_sharded(ArrayStream(y, X), 3, mapping_logit(), 2, 4.0)
+            sequential = build_stats(ArrayStream(y, X), mapping_logit(), 2, 4.0)
+        assert np.isinf(sequential.t).any()
+        np.testing.assert_allclose(sharded.t, sequential.t, rtol=1e-12)
+        assert sharded.n == 60
 
     def test_workers_use_the_callers_mapping(self):
         rng = np.random.default_rng(10)
@@ -806,6 +839,15 @@ class Rows(RecordStream):
             yield self.y[lo : lo + batch_size], self.X[lo : lo + batch_size]
 
 
+@pytest.fixture(params=["fork", "in process"])
+def route(request, monkeypatch):
+    """Each ``run_sharded`` call of the test forks workers, or, with fork
+    unavailable, folds the shards in this process."""
+    if request.param == "in process":
+        monkeypatch.setattr(data.mp, "get_all_start_methods", lambda: ["spawn"])
+    return request.param
+
+
 class TestDealtShards:
     """A stream that cannot split itself is read once and dealt to the workers."""
 
@@ -815,6 +857,7 @@ class TestDealtShards:
             return ArrayStream(y, X) if spec is None else project(ArrayStream(y, X), spec)
         return Rows(y, X) if spec is None else project(Rows(y, X), spec)
 
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "in process"])
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         n=st.integers(0, 23),
@@ -825,7 +868,7 @@ class TestDealtShards:
         projected=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_statistics_equal_merged_shard_builds(self, n, shards, batch_size, model, kind, projected, seed):
+    def test_statistics_equal_merged_shard_builds(self, fork, n, shards, batch_size, model, kind, projected, seed):
         rng = np.random.default_rng(seed)
         mapping, M, R = (mapping_logit(), 2, 4.0) if model == "logit" else (mapping_poisson(), 4, 2.0)
         if projected:
@@ -835,7 +878,10 @@ class TestDealtShards:
             spec, X = None, rng.uniform(-0.3, 0.3, (n, 3))
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0) if model == "logit" else rng.poisson(1.0, n) * 1.0
         source = self._source(kind, y, X, spec)
-        sharded = run_sharded(source, shards, mapping, M, R, batch_size=batch_size)
+        with pytest.MonkeyPatch.context() as patch:
+            if not fork:  # the shards fold in this process
+                patch.setattr(data.mp, "get_all_start_methods", lambda: ["spawn"])
+            sharded = run_sharded(source, shards, mapping, M, R, batch_size=batch_size)
         parts = [  # each shard's statistics as its worker sends them
             deserialize(serialize(build_stats(
                 self._source(kind, y, X, spec).shard(i, shards), mapping, M, R, batch_size=batch_size)))
@@ -875,6 +921,16 @@ class TestDealtShards:
         assert sharded() == forked
         assert not mp.active_children()
 
+    def test_dealt_records_fold_alike_in_every_layout(self, route):
+        # each route hands the kernel every other row in another layout (a
+        # strided view, or a copy through a pipe); at d = 1 its products
+        # round differently over strided rows unless it lays them out anew
+        rng = np.random.default_rng(23)
+        y, X = rng.poisson(1.0, 3000) * 1.0, rng.uniform(-0.3, 0.3, (3000, 1))
+        sharded = run_sharded(Rows(y, X), 2, mapping_poisson(), 3, 2.0, batch_size=2048)
+        parts = [build_stats(Rows(y, X).shard(i, 2), mapping_poisson(), 3, 2.0, batch_size=2048) for i in range(2)]
+        assert serialize(sharded) == serialize(parts[0].merge(parts[1]))
+
     def test_dealt_libsvm_file_is_parsed_once(self, tmp_path):
         rng = np.random.default_rng(20)
         path = tmp_path / "one.svm"
@@ -893,12 +949,20 @@ class TestShardFailures:
         rng = np.random.default_rng(21)
         return np.where(rng.random(n) < 0.5, 1.0, -1.0), rng.uniform(-0.3, 0.3, (n, d))
 
+    @pytest.mark.parametrize("fault", ["covariate", "poisson label"])
     @pytest.mark.parametrize("stream", [Rows, ArrayStream])
-    def test_worker_numeric_error_names_shard_and_stream_record(self, stream):
+    def test_worker_numeric_error_names_shard_and_stream_record(self, stream, fault, route):
         y, X = self._arrays()
-        X[137, 1] = np.nan  # record 45 of shard 2 of 3
-        with pytest.raises(NumericError) as info:
-            run_sharded(stream(y, X), 3, mapping_logit(), 2, 4.0, batch_size=16)
+        # record 137 is record 45 of shard 2 of 3
+        if fault == "covariate":
+            X[137, 1] = np.nan
+            mapping, M, R, error = mapping_logit(), 2, 4.0, NumericError
+        else:
+            y = np.abs(y)
+            y[137] = -1.0
+            mapping, M, R, error = mapping_poisson(), 4, 2.0, InvalidInputError
+        with pytest.raises(error) as info:
+            run_sharded(stream(y, X), 3, mapping, M, R, batch_size=16)
         assert info.value.record_index == 137
         assert str(info.value).startswith("shard 2 of 3 (its record 45 is record 137 of the stream)")
 
@@ -965,19 +1029,29 @@ class TestShardFailures:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
-    def test_reader_error_is_raised_unchanged(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line,message",
+        [("+1 2:0.1 1:0.2\n", "{path}:612: malformed record"),
+         ("3 1:0.1\n", "record 611 has label 3"),
+         ("nan 1:0.1\n", "non-finite label at record 611")],
+        ids=["indices out of order", "bad label", "nan label"],
+    )
+    def test_reader_error_is_raised_unchanged(self, tmp_path, line, message, route):
         rng = np.random.default_rng(22)
         path = tmp_path / "bad.svm"
         write_libsvm(path, np.where(rng.random(900) < 0.5, 1.0, -1.0), rng.uniform(-0.3, 0.3, (900, 4)))
         lines = path.read_text().splitlines(keepends=True)
-        lines[611] = "+1 2:0.1 1:0.2\n"  # indices out of order on line 612
+        lines[611] = line  # line 612, record 611
         path.write_text("".join(lines))
-        with pytest.raises(InvalidInputError) as sequential:
-            build_stats(parse_libsvm(path, d=4), mapping_logit(), 2, 4.0)
-        with pytest.raises(InvalidInputError) as sharded:
-            run_sharded(parse_libsvm(path, d=4), 2, mapping_logit(), 2, 4.0, batch_size=50)
-        assert f"{path}:612: malformed record" in str(sharded.value)
+        with pytest.raises(PassGlmError) as sequential:
+            build_stats(parse_libsvm(path, d=4, labels="pm1"), mapping_logit(), 2, 4.0)
+        source = parse_libsvm(path, d=4, labels="pm1")
+        with pytest.raises(type(sequential.value)) as sharded:
+            run_sharded(source, 2, mapping_logit(), 2, 4.0, batch_size=50)
+        assert message.format(path=path) in str(sharded.value)
         assert str(sharded.value) == str(sequential.value)
+        assert sharded.value.record_index == sequential.value.record_index
+        assert source.passes == 1
 
     def test_generic_reader_exception_is_raised_unchanged(self):
         y, X = self._arrays()
@@ -1165,7 +1239,7 @@ class TestSparseBatches:
         assert got == want
 
     @pytest.mark.parametrize("kind", ["dealt", "own shards"])
-    def test_worker_warnings_reach_the_caller(self, kind):
+    def test_worker_warnings_reach_the_caller(self, kind, route):
         rng = np.random.default_rng(33)
         X = rng.standard_normal((100, 3))
         X *= 1.56 / np.linalg.norm(X, axis=1, keepdims=True)

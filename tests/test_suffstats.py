@@ -37,6 +37,7 @@ from passglm.suffstats import (
     load_stats,
     merge,
     new_stats,
+    save_stats,
     serialize,
 )
 
@@ -206,6 +207,18 @@ class TestAccumulate:
         a.accumulate_batch(np.array([1.0]), np.array([[0.0, 0.3, 0.0, -0.4]]))
         b.accumulate_batch(np.array([1.0]), sp.csr_matrix(([0.3, -0.4], [1, 3], [0, 2]), shape=(1, 4)))
         np.testing.assert_array_equal(a.values(), b.values())
+
+    @pytest.mark.parametrize("model,M", [("poisson", 3), ("shuber", 4)])
+    def test_statistics_do_not_depend_on_the_rows_memory_layout(self, model, M):
+        rng = np.random.default_rng(43)
+        y, X = rng.poisson(1.0, 6000) * 1.0, rng.uniform(-0.2, 0.2, (6000, 1))
+        views = {"strided": X[1::2], "copy": X[1::2].copy(), "fortran": np.asfortranarray(X[1::2])}
+        bits = []
+        for X_rows in views.values():
+            stats = new_stats(enumerate_indices(1, M), get_mapping(model), 2.0)
+            bits.append(stats.accumulate_batch(y[1::2], X_rows).t.view(np.int64))
+        np.testing.assert_array_equal(bits[0], bits[1])
+        np.testing.assert_array_equal(bits[2], bits[1])
 
     @pytest.mark.parametrize("M", [1, 2, 4])
     def test_against_two_loop_oracle(self, M):
@@ -763,6 +776,29 @@ class TestSerialization:
         np.testing.assert_array_equal(back.values(), stats.values())
         assert back.n == stats.n
         assert back.same_config(stats)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_is_refused_and_no_file_is_written(self, value, tmp_path):
+        stats = self._sample_stats()
+        stats.t[4] = value
+        with pytest.raises(NumericError, match=f"^entry 4 is {value!r}; "):
+            serialize(stats)
+        with pytest.raises(NumericError, match="^entry 4 is "):
+            save_stats(stats, tmp_path / "s.pglm")
+        assert not (tmp_path / "s.pglm").exists()
+
+    def test_overflowing_statistics_cannot_be_written(self, tmp_path):
+        # covariates near 1e160 overflow the degree-2 sums: the statistics
+        # are what the pass gives, and no file holding them can be written
+        X = np.full((4, 2), 0.25)
+        X[2] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stats = build_stats(ArrayStream(np.ones(4), X), mapping_logit(), 2, 4.0)
+        assert np.isinf(stats.t[3])
+        with pytest.raises(NumericError, match="^entry 3 is inf"):
+            save_stats(stats, tmp_path / "s.pglm")
+        assert not (tmp_path / "s.pglm").exists()
 
     def test_truncated_payload_fails_checksum(self):
         payload = serialize(self._sample_stats())
