@@ -36,32 +36,27 @@ __all__ = [
 
 class _LogPosterior:
     """The exact log-posterior of ``spec`` and ``prior`` on the records
-    ``(y, X)``, read through ``_loglik_derivs`` one derivative at a time; the
-    surface of ``exact_map``'s Newton solver and the target of ``mala``."""
+    ``(y, X)``: the surface of ``exact_map``'s Newton solver and the target of
+    ``mala``, read by ``derivs`` as on ``posterior.PolySurface``."""
 
     def __init__(self, spec: MappingSpec, prior: PriorSpec, y: np.ndarray, X: np.ndarray):
         self.spec, self.prior, self.y, self.X = spec, prior, y, X
         d = X.shape[1]
         self.mean = prior.mean_vector(d)
         self.prec = np.diag(prior.precision_diag(d))
-        self._at = self._s = None
 
-    def _derivs(self, theta: np.ndarray, k: int) -> np.ndarray:
-        # _newton reads value, gradient and Hessian at one point: keep its X @ theta
-        if theta is not self._at:
-            self._at, self._s = theta, self.X @ theta
-        return _loglik_derivs(self.spec, self.y, self._s, k, lowest=k)[k]
-
-    def value(self, theta: np.ndarray) -> float:
-        return float(np.sum(self._derivs(theta, 0))) + self.prior.log_density(theta)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        d1 = self._derivs(theta, 1)
-        _check_finite(d1, "gradient")
-        return self.X.T @ d1 - self.prec @ (theta - self.mean)
-
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        return self.X.T @ (self._derivs(theta, 2)[:, None] * self.X) - self.prec
+    def derivs(self, theta: np.ndarray, order: int) -> list:
+        """``[value, gradient, Hessian][: order + 1]`` at ``theta``, from one
+        ``X @ theta`` and one ``_loglik_derivs`` call; a non-finite gradient
+        contribution raises :class:`NumericError`."""
+        out = _loglik_derivs(self.spec, self.y, self.X @ theta, order)
+        out[0] = float(np.sum(out[0])) + self.prior.log_density(theta)
+        if order >= 1:
+            _check_finite(out[1], "gradient")
+            out[1] = self.X.T @ out[1] - self.prec @ (theta - self.mean)
+        if order >= 2:
+            out[2] = self.X.T @ (out[2][:, None] * self.X) - self.prec
+        return out
 
 
 # exact_map's Newton fails after this many steps.
@@ -78,7 +73,7 @@ def exact_map(spec: MappingSpec, prior: PriorSpec, data, tol: float = 1e-8) -> t
     y, X = _records(spec, data)
     surface = _LogPosterior(spec, prior, y, X)
     try:
-        theta, hess = _newton(surface, surface.mean, lambda f: tol, _MAX_ITER)
+        theta, hess = _newton(surface.derivs, surface.mean, lambda f: tol, _MAX_ITER)
     except linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular Hessian during Newton iteration: {exc}") from None
     return theta, -hess
@@ -159,7 +154,7 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
     for c in range(config.chains):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, c]))
         theta = post.mean + 0.5 * rng.standard_normal(d)
-        lp, g = post.value(theta), post.gradient(theta)
+        lp, g = post.derivs(theta, 1)
         if not np.isfinite(lp):
             raise NumericError("log-posterior is not finite at the chain start")
         log_h = np.log(_STEP_SIZE)
@@ -173,7 +168,7 @@ def mala(spec: MappingSpec, prior: PriorSpec, data, config: MalaConfig) -> Chain
             h2 = h * h
             mu = theta + 0.5 * h2 * D * g
             prop = mu + h * np.sqrt(D) * rng.standard_normal(d)
-            lp_prop, g_prop = post.value(prop), post.gradient(prop)
+            lp_prop, g_prop = post.derivs(prop, 1)
             mu_back = prop + 0.5 * h2 * D * g_prop
             log_q_fwd = -0.5 / h2 * float(((prop - mu) ** 2 / D).sum())
             log_q_back = -0.5 / h2 * float(((theta - mu_back) ** 2 / D).sum())

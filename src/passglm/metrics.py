@@ -84,22 +84,31 @@ def compare_posteriors(a, b) -> EvalReport:
     )
 
 
+def _held_out(spec: MappingSpec, data) -> tuple[np.ndarray, np.ndarray]:
+    """``_records`` of held-out ``data``; a metric of no records is undefined."""
+    y, X = _records(spec, data)
+    if len(y) == 0:
+        raise MetricError("held-out metrics are undefined without records")
+    return y, X
+
+
 def test_nll(spec: MappingSpec, estimate, data) -> float:
     """Mean negative log-likelihood of held-out records at a point estimate.
 
-    Posterior objects are reduced to their mean (plug-in evaluation).
+    Posterior objects are reduced to their mean (plug-in evaluation).  No
+    records raise :class:`MetricError`, as in every held-out metric here.
     """
     if hasattr(estimate, "chol"):  # posterior object: plug in its mean
         estimate = estimate.mean
     theta = np.asarray(estimate, dtype=float)
-    y, X = _records(spec, data)
+    y, X = _held_out(spec, data)
     vals = batch_log_likelihood(spec, theta, y, X)
     return -float(vals.mean())
 
 
 def test_nll_predictive(spec: MappingSpec, posterior, data, draws: int = 100, seed: int = 0) -> float:
     """Monte Carlo posterior-predictive mean negative log-likelihood."""
-    y, X = _records(spec, data)
+    y, X = _held_out(spec, data)
     thetas = posterior.sample(draws, seed=seed)
     acc = np.full(len(y), -np.inf)
     for theta in thetas:
@@ -170,11 +179,11 @@ def inner_product_histogram(
     Emits a warning when fewer than half the records are in range, which
     signals that the polynomial approximation interval is badly matched to
     the data.  A ``radius`` that is not finite and > 0 raises
-    :class:`InvalidInputError`.
+    :class:`InvalidInputError`, no records :class:`MetricError`.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise InvalidInputError(f"histogram radius must be finite and > 0, got {radius}")
-    y, X = _records(spec, data)
+    y, X = _held_out(spec, data)
     args, fraction = _term_range(spec, y, X @ np.asarray(theta, dtype=float), radius)
     counts, edges = np.histogram(args, bins=bins)
     if fraction < 0.5:

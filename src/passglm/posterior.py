@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import linalg
@@ -230,15 +229,14 @@ def posterior_lr2(stats: SuffStats, approx: PolyApprox | None, prior: PriorSpec)
 
 
 class PolySurface:
-    """A polynomial in ``d`` variables over a multi-index set, with gradient
-    and Hessian evaluation.
+    """A polynomial in ``d`` variables over a multi-index set, evaluated with
+    its gradient and Hessian by ``derivs``.
 
     As ``d/dtheta_u theta**(j + e_u) = (j_u + 1) theta**j``, the gradient is
     a fixed ``(d, |K_<M|)`` matrix times the monomials of degree below ``M``,
     and the Hessian's upper triangle one row per pair ``u <= v`` over
     ``K_<M-1``.  Both are built once from ``MultiIndexSet.up`` and ``multinom``;
-    the Hessian is mirrored, so it is exactly symmetric.  The monomials are
-    ``MultiIndexSet.monomials`` of ``theta`` as a one-record batch.
+    the Hessian is mirrored, so it is exactly symmetric.
     """
 
     def __init__(self, index_set: MultiIndexSet, coefficients: np.ndarray):
@@ -260,20 +258,20 @@ class PolySurface:
         hess *= k[plus_u, v]
         self._hess = hess.T
 
-    def _monomials(self, theta: np.ndarray, top: int) -> np.ndarray:
-        """The monomials of degree at most ``top`` (none when ``top < 0``)."""
-        return self.index_set.monomials(theta[None, :], max(top, -1))[:, 0]
-
-    def value(self, theta: np.ndarray) -> float:
-        return float(self.coefficients @ self._monomials(theta, self.index_set.M))
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self._grad @ self._monomials(theta, self.index_set.M - 1)
-
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        H = np.empty((self.index_set.d,) * 2)
-        H[self._pairs] = H[self._pairs[::-1]] = self._hess @ self._monomials(theta, self.index_set.M - 2)
-        return H
+    def derivs(self, theta: np.ndarray, order: int) -> list:
+        """``[value, gradient, Hessian][: order + 1]`` at ``theta``, from one
+        build of its monomials (``MultiIndexSet.monomials`` of a one-record
+        batch): in canonical order those of degree below ``M`` and ``M - 1``
+        are prefixes of them."""
+        mono = self.index_set.monomials(theta[None, :], self.index_set.M)[:, 0]
+        out = [float(self.coefficients @ mono)]
+        if order >= 1:
+            out.append(self._grad @ mono[: self._grad.shape[1]])
+        if order >= 2:
+            H = np.empty((self.index_set.d,) * 2)
+            H[self._pairs] = H[self._pairs[::-1]] = self._hess @ mono[: self._hess.shape[1]]
+            out.append(H)
+        return out
 
 
 def surrogate_loglik_coefficients(stats: SuffStats, approx: PolyApprox | None = None) -> np.ndarray:
@@ -320,9 +318,10 @@ _MIN_STEP = 1e-12
 _ROUNDING_ULPS = 16
 
 
-def _newton(surface, theta: np.ndarray, tol, max_iter: int):
-    """Maximize ``surface`` (``value``, ``gradient`` and ``hessian``, as on
-    :class:`PolySurface`) from ``theta`` by damped Newton iteration.
+def _newton(derivs, theta: np.ndarray, tol, max_iter: int):
+    """Maximize the surface ``derivs`` (``derivs(theta, order)`` returns
+    ``[value, gradient, Hessian][: order + 1]``, as :meth:`PolySurface.derivs`)
+    from ``theta`` by damped Newton iteration.
 
     Each step solves with the Cholesky factor of ``-H`` (its ``LinAlgError``
     reaches the caller) and is halved until the Armijo condition holds
@@ -332,15 +331,15 @@ def _newton(surface, theta: np.ndarray, tol, max_iter: int):
     is within ``_ROUNDING_ULPS`` ulps of ``|f|``, the full step is also taken
     if it lowers the gradient norm and lowers ``f`` by at most that rounding
     (the idea of Hager & Zhang's approximate Wolfe conditions, SIAM J. Optim.
-    16, 2005).  Returns the point and the Hessian there once the gradient
-    norm is at most ``tol(value)``; after ``max_iter`` steps raises
-    :class:`ConvergenceError` with the trace ``(step, value, gradient norm)``,
-    whose message counts the steps taken at the rounding floor.
+    16, 2005).  A trial point is read at order 0 (order 1 for that test), an
+    accepted one at order 2.  Returns the point and the Hessian there once
+    the gradient norm is at most ``tol(value)``; after ``max_iter`` steps
+    raises :class:`ConvergenceError` with the trace ``(step, value, gradient
+    norm)``, whose message counts the steps taken at the rounding floor.
     """
-    f, g = surface.value(theta), surface.gradient(theta)
+    f, g, H = derivs(theta, 2)
     trace, floor_steps = [], 0
     for it in range(max_iter):
-        H = surface.hessian(theta)
         grad_norm = float(np.linalg.norm(g))
         trace.append((it, f, grad_norm))
         if grad_norm <= tol(f):
@@ -348,22 +347,19 @@ def _newton(surface, theta: np.ndarray, tol, max_iter: int):
         step = linalg.cho_solve((linalg.cholesky(-H, lower=True), True), g)
         g_dot_step = float(g @ step)
         rounding = _ROUNDING_ULPS * np.spacing(abs(f))
-        g_candidate = None
         alpha = 1.0
         while alpha > _MIN_STEP:
             candidate = theta + alpha * step
-            f_candidate = surface.value(candidate)
+            (f_candidate,) = derivs(candidate, 0)
             if f_candidate >= f + _ARMIJO * alpha * g_dot_step:
                 break
             if alpha == 1.0 and g_dot_step <= rounding and f_candidate >= f - rounding:
-                g_candidate = surface.gradient(candidate)
-                if np.linalg.norm(g_candidate) < grad_norm:
+                if np.linalg.norm(derivs(candidate, 1)[1]) < grad_norm:
                     floor_steps += 1
                     break
-                g_candidate = None
             alpha *= 0.5
-        theta, f = candidate, f_candidate
-        g = surface.gradient(theta) if g_candidate is None else g_candidate
+        theta = candidate
+        f, g, H = derivs(theta, 2)
     raise ConvergenceError(
         f"Newton did not reach its tolerance in {max_iter} iterations "
         f"({floor_steps} taken at the rounding floor of f)",
@@ -383,23 +379,23 @@ def _ball_mode(surface: PolySurface, theta: np.ndarray, radius: float):
     ``max(0, grad . theta) / radius^2``.  The residual bounds the projected
     gradient ``|P(theta + grad) - theta|`` (the projection is nonexpansive)."""
     tol = lambda f: _GRAD_TOL * max(1.0, abs(f))
-    theta, H = _newton(surface, theta, tol, _MAX_ITER)
+    theta, H = _newton(surface.derivs, theta, tol, _MAX_ITER)
     lam, lo, hi = 0.0, 0.0, math.inf
-    penalized = SimpleNamespace(  # surface - lam |theta|^2 / 2, read at the current lam
-        value=lambda t: surface.value(t) - 0.5 * lam * float(t @ t),
-        gradient=lambda t: surface.gradient(t) - lam * t,
-        hessian=lambda t: surface.hessian(t) - lam * np.eye(t.size),
-    )
+
+    def penalized(t, order):  # surface - lam |t|^2 / 2, at the current lam
+        penalty = (0.5 * lam * float(t @ t), lam * t, lam * np.eye(t.size))
+        return [a - b for a, b in zip(surface.derivs(t, order), penalty)]
+
     for _ in range(_MAX_SOLVES):
         norm = float(np.linalg.norm(theta))
         if norm <= radius and lam == 0.0:
             return theta, H, lam
         on_sphere = theta * (radius / norm)
-        grad = surface.gradient(on_sphere)
+        f, grad, hess = surface.derivs(on_sphere, 2)
         multiplier = max(0.0, float(grad @ on_sphere)) / radius**2
         residual = np.linalg.norm(grad - multiplier * on_sphere)
-        if max(abs(norm - radius), residual) <= tol(surface.value(on_sphere)):
-            return on_sphere, surface.hessian(on_sphere), multiplier
+        if max(abs(norm - radius), residual) <= tol(f):
+            return on_sphere, hess, multiplier
         lo, hi = (lam, hi) if norm > radius else (lo, lam)
         h_inv_theta = linalg.cho_solve((linalg.cholesky(-H, lower=True), True), theta)
         lam += (1.0 / radius - 1.0 / norm) * norm**3 / float(theta @ h_inv_theta)

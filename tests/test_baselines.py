@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from passglm import baselines
@@ -16,10 +18,23 @@ from passglm.baselines import (
 )
 from passglm.errors import ConvergenceError, DivergenceError, InvalidInputError
 from passglm.data import synthesize_arrays
-from passglm.mappings import get_mapping, log_likelihood_grad, mapping_logit
+from passglm.mappings import (
+    MAPPING_FACTORIES,
+    _records,
+    get_mapping,
+    log_likelihood,
+    log_likelihood_grad,
+    log_likelihood_hess,
+    mapping_logit,
+)
 from passglm.metrics import test_nll as eval_nll
 from passglm.posterior import PriorSpec
-from tests.test_posterior import grid_moments, logistic_instance, quadratic_mapping
+from tests.test_posterior import (
+    assert_derivs_agree_across_orders,
+    grid_moments,
+    logistic_instance,
+    quadratic_mapping,
+)
 
 
 EMPTY_2D = (np.empty(0), np.empty((0, 2)))
@@ -86,6 +101,33 @@ class TestLaplace:
         _, cov_g = grid_moments(true_logpost, post.mean, 7.0 * sig)
         rel = np.linalg.norm(post.cov() - cov_g) / np.linalg.norm(cov_g)
         assert rel <= 0.10
+
+
+class TestLogPosterior:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(MAPPING_FACTORIES)),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        flat=st.booleans(),
+    )
+    def test_derivs_is_the_log_likelihood_plus_the_prior_at_every_order(self, model, d, seed, flat):
+        rng = np.random.default_rng(seed)
+        spec = get_mapping(model, 1.5)
+        data = synthesize_arrays(model, d, 50, seed, rng.uniform(-1, 1, d), scale=1.5)
+        if flat:
+            prior = PriorSpec.flat()
+        else:
+            prior = PriorSpec.gaussian(rng.uniform(0.5, 4.0, d), mean=rng.uniform(-0.5, 0.5, d))
+        post = baselines._LogPosterior(spec, prior, *_records(spec, data))
+        theta = rng.uniform(-1, 1, d)
+        assert_derivs_agree_across_orders(post.derivs, theta)
+        f, g, H = post.derivs(theta, 2)
+        prec = np.diag(prior.precision_diag(d))
+        assert f == log_likelihood(spec, theta, data) + prior.log_density(theta)
+        grad = log_likelihood_grad(spec, theta, data) - prec @ (theta - prior.mean_vector(d))
+        assert g.tobytes() == grad.tobytes()
+        assert H.tobytes() == (log_likelihood_hess(spec, theta, data) - prec).tobytes()
 
 
 class TestMala:

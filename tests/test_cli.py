@@ -380,6 +380,21 @@ class TestFitAndEval:
         doc = json.loads(report_path.read_text())
         assert sorted(doc) == ["mean_err", "schema_version", "var_err", "w2"]
 
+    def test_eval_of_an_empty_test_file_exits_2_without_a_report(self, tmp_path, capsys):
+        train, stats, post = tmp_path / "train.svm", tmp_path / "stats.pglm", tmp_path / "post.json"
+        assert run("synth", "--model", "poisson", "--dim", 3, "--n", 200, "--theta", 0.3,
+                   "--out", train) == 0
+        assert run("stats", "build", "--input", train, "--model", "poisson", "--degree", 4,
+                   "--radius", 2, "--dim", 3, "--out", stats) == 0
+        assert run("fit", "--stats", stats, "--prior", "gaussian:4", "--out", post) == 0
+        empty, report = tmp_path / "empty.svm", tmp_path / "report.json"
+        empty.write_text("")
+        capsys.readouterr()
+        assert run("eval", "--posterior", post, "--reference", post, "--test", empty,
+                   "--model", "poisson", "--out", report) == 2
+        assert capsys.readouterr().err == "error: held-out metrics are undefined without records\n"
+        assert not report.exists()
+
     def test_pathological_fit_fails_cleanly(self, dataset, tmp_path, capsys):
         path, _, _ = dataset
         stats_path = tmp_path / "stats4.pglm"

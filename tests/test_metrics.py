@@ -113,6 +113,22 @@ class TestTestNllPredictive:
         )
 
 
+@pytest.mark.parametrize("model", list(MAPPING_FACTORIES))
+def test_held_out_metrics_refuse_no_records(model):
+    spec = get_mapping(model, 1.5)
+    data = (np.empty(0), np.empty((0, 3)))
+    post = GaussianPosterior(mean=np.zeros(3), chol=np.eye(3), logdet=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning about an empty mean
+        for metric in (
+            lambda: eval_nll(spec, post, data),
+            lambda: eval_nll_predictive(spec, post, data, draws=2),
+            lambda: inner_product_histogram(spec, data, post.mean),
+        ):
+            with pytest.raises(MetricError, match="^held-out metrics are undefined without records$"):
+                metric()
+
+
 class TestAverageRanks:
     @pytest.mark.parametrize(
         "a",

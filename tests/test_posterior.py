@@ -34,7 +34,7 @@ from passglm.posterior import (
     posterior_lr2,
     surrogate_loglik_coefficients,
 )
-from passglm.suffstats import enumerate_indices, new_stats
+from passglm.suffstats import MultiIndexSet, enumerate_indices, new_stats
 from tests.test_chebyshev import GOLDEN_B_LOGIT_M2_R4, phi_logit
 
 
@@ -52,6 +52,16 @@ def lr2_stats(y, X, M=2, R=4.0):
     stats = new_stats(iset, mapping_logit(), R)
     stats.accumulate_batch(y, X)
     return stats
+
+
+def assert_derivs_agree_across_orders(derivs, theta):
+    """``derivs(theta, k)[j]`` is bit-equal to ``derivs(theta, j)[j]`` for
+    ``j <= k <= 2``: one function, read to any order."""
+    by_order = [derivs(theta, k) for k in range(3)]
+    for k, out in enumerate(by_order):
+        assert len(out) == k + 1 and isinstance(out[0], float)
+        for j in range(k + 1):
+            assert np.asarray(out[j]).tobytes() == np.asarray(by_order[j][j]).tobytes()
 
 
 def grid_moments(logpost, center, half_widths, n=400):
@@ -300,8 +310,8 @@ class TestPosteriorGeneral:
         stats.accumulate_batch(y, X)
         (approx,) = fit_terms(mapping_logit(), 6, 4.0)
         post = posterior_general(stats, approx, PriorSpec.gaussian(4.0))
-        grad = post.surface.gradient(post.map_estimate)
-        f = abs(post.surface.value(post.map_estimate))
+        f, grad = post.surface.derivs(post.map_estimate, 1)
+        f = abs(f)
         assert np.linalg.norm(grad) <= 1e-8 * max(1.0, f)
 
     def test_iteration_cap_raises_with_a_trace(self, monkeypatch):
@@ -377,14 +387,15 @@ class TestBallFit:
         theta = post.map_estimate
         assert np.linalg.norm(theta) <= r * (1 + 4 * 2**-52)
         assert post.multiplier >= 0
-        grad, scale = post.surface.gradient(theta), max(1.0, abs(post.surface.value(theta)))
+        f, grad, hess = post.surface.derivs(theta, 2)
+        scale = max(1.0, abs(f))
         ascent = theta + grad
         projected = ascent * min(1.0, r / float(np.linalg.norm(ascent)))
         assert np.linalg.norm(projected - theta) <= posterior._GRAD_TOL * scale
         # the multiplier is the boundary's: grad = multiplier * theta, to the rule
         assert np.linalg.norm(grad - post.multiplier * theta) <= posterior._GRAD_TOL * scale
         # the Laplace fit takes the surrogate's own Hessian, not the penalized one
-        np.testing.assert_allclose(post.laplace.cov() @ -post.surface.hessian(theta), np.eye(d), atol=1e-8)
+        np.testing.assert_allclose(post.laplace.cov() @ -hess, np.eye(d), atol=1e-8)
         if r >= np.linalg.norm(free.map_estimate):
             assert post.multiplier == 0.0
             assert theta.tobytes() == free.map_estimate.tobytes()
@@ -392,6 +403,36 @@ class TestBallFit:
 
 
 class TestPolySurface:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), M=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_derivs_is_one_function_at_every_order(self, d, M, seed):
+        rng = np.random.default_rng(seed)
+        iset = enumerate_indices(d, M)
+        surface = PolySurface(iset, rng.normal(0, 1, len(iset)))
+        assert_derivs_agree_across_orders(surface.derivs, rng.uniform(-1.5, 1.5, d))
+
+    @pytest.mark.parametrize("share", [None, 0.5])
+    def test_one_monomial_build_per_derivs_call(self, monkeypatch, share):
+        stats = ball_stats("poisson", 3, 1)
+        prior = PriorSpec.gaussian(4.0)
+        radius = None
+        if share is not None:  # a ball that binds runs the penalized surface too
+            radius = share * float(np.linalg.norm(posterior_general(stats, None, prior).map_estimate))
+        calls = {"derivs": 0, "monomials": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(PolySurface, "derivs", counted("derivs", PolySurface.derivs))
+        monkeypatch.setattr(MultiIndexSet, "monomials", counted("monomials", MultiIndexSet.monomials))
+        post = posterior_general(stats, None, prior, domain_radius=radius)
+        assert (post.multiplier > 0) == (share is not None)
+        assert calls["monomials"] == calls["derivs"] > 0
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)
         iset = enumerate_indices(3, 4)
@@ -399,12 +440,12 @@ class TestPolySurface:
         surface = PolySurface(iset, coef)
         for _ in range(50):
             theta = rng.normal(0, 0.8, 3)
-            g = surface.gradient(theta)
+            g = surface.derivs(theta, 1)[1]
             h = 1e-6
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                fd = (surface.value(theta + e) - surface.value(theta - e)) / (2 * h)
+                fd = (surface.derivs(theta + e, 0)[0] - surface.derivs(theta - e, 0)[0]) / (2 * h)
                 assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_hessian_matches_finite_differences(self):
@@ -413,12 +454,12 @@ class TestPolySurface:
         coef = rng.normal(0, 1, len(iset))
         surface = PolySurface(iset, coef)
         theta = rng.normal(0, 0.5, 2)
-        H = surface.hessian(theta)
+        H = surface.derivs(theta, 2)[2]
         h = 1e-5
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (surface.gradient(theta + e) - surface.gradient(theta - e)) / (2 * h)
+            fd = (surface.derivs(theta + e, 1)[1] - surface.derivs(theta - e, 1)[1]) / (2 * h)
             np.testing.assert_allclose(H[:, j], fd, rtol=1e-4, atol=1e-6)
 
 
@@ -453,8 +494,8 @@ class TestPolySurface:
                 ]
             )
             scale = np.abs(coef).sum()
-            assert surface.value(theta) == pytest.approx(coef @ mono(theta, E), rel=1e-12, abs=1e-13 * scale)
-            g, H = surface.gradient(theta), surface.hessian(theta)
+            f, g, H = surface.derivs(theta, 2)
+            assert f == pytest.approx(coef @ mono(theta, E), rel=1e-12, abs=1e-13 * scale)
             assert g.dtype == H.dtype == np.float64
             np.testing.assert_array_equal(H, H.T)
             np.testing.assert_allclose(g, grad, rtol=1e-12, atol=1e-13 * scale)
@@ -468,7 +509,7 @@ class TestPolySurface:
         try:
             iset = enumerate_indices(20, 6)
             surface = PolySurface(iset, rng.normal(0, 1, len(iset)))
-            surface.hessian(rng.uniform(-0.5, 0.5, 20))
+            surface.derivs(rng.uniform(-0.5, 0.5, 20), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
