@@ -2,8 +2,8 @@
 
 Degree-2 statistics cost O(d^2) memory, which is fine at d = 1,000 but not
 at d = 2,000,000.  The projection maps records into a lower dimension on the
-fly; only the columns the records use are stored, each drawn from a
-counter-based seed when first used, so train and test data project
+fly; only the rows of the matrix that a batch uses are drawn, each from a
+counter hash of the seed and its index, so train and test data project
 identically even across processes.
 
 The synthetic task has 20 informative features (denser than the background,

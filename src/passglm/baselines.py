@@ -41,6 +41,7 @@ class _LogPosterior:
 
     def __init__(self, spec: MappingSpec, prior: PriorSpec, y: np.ndarray, X: np.ndarray):
         self.spec, self.prior, self.y, self.X = spec, prior, y, X
+        self.base = None if spec.log_base is None else spec.log_base(y)  # the same at every theta
         d = X.shape[1]
         self.mean = prior.mean_vector(d)
         self.prec = np.diag(prior.precision_diag(d))
@@ -49,7 +50,7 @@ class _LogPosterior:
         """``[value, gradient, Hessian][: order + 1]`` at ``theta``, from one
         ``X @ theta`` and one ``_loglik_derivs`` call; a non-finite gradient
         contribution raises :class:`NumericError`."""
-        out = _loglik_derivs(self.spec, self.y, self.X @ theta, order)
+        out = _loglik_derivs(self.spec, self.y, self.X @ theta, order, base=self.base)
         out[0] = float(np.sum(out[0])) + self.prior.log_density(theta)
         if order >= 1:
             _check_finite(out[1], "gradient")

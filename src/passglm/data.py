@@ -15,6 +15,7 @@ import pickle
 import traceback
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -499,18 +500,33 @@ def synthesize(model: str, d: int, n: int, seed: int, theta_true, path, scale: f
 
 # --- sparse random projection ------------------------------------------------
 
-# Uniforms drawn at a time by ``ProjectionSpec._rows`` (512 KB).
-_DRAW_CELLS = 1 << 16
+
+def _draw(key: np.ndarray, counter) -> np.ndarray:
+    """Draw ``counter`` of SplitMix64 streams seeded ``key`` (Steele, Lea & Flood, OOPSLA 2014)."""
+    z = key + (np.atleast_1d(counter).astype(np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=8)
+def _count_cdf(n: int, p: float) -> np.ndarray:
+    """``P(K <= k)`` for ``k < n``, K ~ Binomial(n, p), from IEEE basic operations only, so the
+    same on every platform; the pmf ratio runs both ways from weight 1 at the mode, so none underflows."""
+    q, mode = 1.0 - p, min(n, int((n + 1) * p))
+    down, up = np.arange(mode, 0, -1), np.arange(mode, n)  # weight k -> k - 1, k -> k + 1
+    w = [np.cumprod(down * q / ((n - down + 1) * p))[::-1], [1.0], np.cumprod((n - up) * p / ((up + 1) * q))]
+    cum = np.cumsum(np.concatenate(w))
+    return cum[:-1] / cum[-1]
 
 
 @dataclass(frozen=True)
 class ProjectionSpec:
     """Seeded sparse random projection from ``input_dim`` to ``output_dim``.
 
-    Entries take the values ``+-sqrt(s/k)`` with probability ``1/(2s)`` each
-    (zero otherwise) where ``s = sqrt(input_dim)``; columns are realized
-    lazily from a counter-based generator keyed on ``(seed, column)`` so only
-    the rows of the matrix that a stream uses are ever stored.
+    Entries are ``+-sqrt(s/k)`` with probability ``1/(2s)`` each, else 0, with
+    ``s = sqrt(input_dim)`` (Li, Hastie & Church, KDD 2006).  A row draws only
+    its nonzeros, from a counter hash of ``(seed, row)`` (see ``_rows``).
     """
 
     seed: int
@@ -518,8 +534,8 @@ class ProjectionSpec:
     output_dim: int
 
     def __post_init__(self):
-        # Philox keys are unsigned 64-bit: a negative or wider seed would be
-        # cast, so refuse it rather than draw another seed's projection
+        # the seed enters the hash as 64 bits: a negative seed would wrap onto a
+        # wide one's bits, so only int64's non-negative range is accepted
         if not 0 <= self.seed < 1 << 63:
             raise InvalidInputError(f"projection seed must be in [0, 2**63), got {self.seed}")
         if self.input_dim < 1 or self.output_dim < 1:
@@ -533,56 +549,45 @@ class ProjectionSpec:
 
     def column(self, j: int) -> np.ndarray:
         """Row ``j`` of the ``(input_dim, output_dim)`` projection matrix."""
-        return self._rows([j])[j].toarray()[0]
+        return self._rows([j]).toarray()[0]
 
-    def _input_rows(self, rows) -> np.ndarray:
-        """``rows`` as int64, after checking that each is an input index."""
+    def _rows(self, rows) -> sp.csr_matrix:
+        """Rows ``rows`` of the projection matrix, in their order, as a ``(len(rows), output_dim)``
+        CSR matrix.  Row ``j`` reads the SplitMix64 stream seeded by draw ``j`` of the one seeded by
+        draw ``seed`` of stream 0.  Its draw 0's top 53 bits are a uniform whose inverse CDF is its
+        nonzero count K.  Round ``r`` gives draw ``r`` of each row short of K: its top 63 bits modulo
+        ``output_dim`` are a position, refused if taken or past the last whole multiple of
+        ``output_dim`` (no modulo bias), and its lowest bit is the sign."""
         rows = np.asarray(rows, dtype=np.int64)
-        out = (rows < 0) | (rows >= self.input_dim)
-        if out.any():
+        if np.any(out := (rows < 0) | (rows >= self.input_dim)):
             raise InvalidInputError(
                 f"covariate index {rows[out][0]} exceeds projection input dimension {self.input_dim}"
             )
-        return rows
-
-    def _rows(self, rows) -> sp.csr_matrix:
-        """The ``(input_dim, output_dim)`` projection matrix with only the
-        given rows filled.  Row ``j`` is drawn from ``Philox(key=[seed, j])``
-        from its start; one bit generator is re-keyed per row.  Uniforms are
-        drawn for a block of rows at a time, at most ``_DRAW_CELLS`` of them."""
-        rows = self._input_rows(rows)
-        bits = np.random.Philox(key=[self.seed, 0])
-        gen = np.random.Generator(bits)
-        start = bits.state
-        s = self.sparsity
-        mag = math.sqrt(s / self.output_dim)
-        step = max(1, _DRAW_CELLS // max(self.output_dim, 1))
-        u = np.empty((min(step, rows.size), self.output_dim))
-        at, cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
-        for lo in range(0, rows.size, step):
-            block = rows[lo : lo + step]
-            for r, j in enumerate(block):
-                start["state"]["key"][1] = j
-                bits.state = start
-                gen.random(out=u[r])
-            hit = np.nonzero(u[: block.size] < 1.0 / s)
-            at.append(block[hit[0]])
-            cols.append(hit[1])
-            vals.append(np.where(u[hit] < 0.5 / s, mag, -mag))
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(at), np.concatenate(cols))),
-            shape=(self.input_dim, self.output_dim),
-        )
+        n, limit = self.output_dim, (1 << 63) - (1 << 63) % self.output_dim
+        key = _draw(_draw(np.zeros(1, np.uint64), self.seed), rows)
+        count = np.searchsorted(_count_cdf(n, 1.0 / self.sparsity), (_draw(key, 0) >> 11) * 2.0**-53, "right")
+        code = np.full((rows.size, count.max(initial=0)), 2 * n)  # 2 * position + sign; 2n is free
+        have, live, r = np.zeros(rows.size, dtype=np.int64), np.flatnonzero(count), 0
+        while live.size:
+            r += 1
+            bits = _draw(key[live], r)
+            at = ((bits >> 1) % n).astype(np.int64)
+            ok = (bits >> 1 < limit) & (code[live] >> 1 != at[:, None]).all(axis=1)
+            take = live[ok]
+            code[take, have[take]] = 2 * at[ok] + (bits[ok] & 1).astype(np.int64)
+            have[take] += 1
+            live = live[have[live] < count[live]]
+        mag, code, indptr = math.sqrt(self.sparsity / n), code[code < 2 * n], np.r_[0, np.cumsum(count)]
+        return sp.csr_matrix((np.where(code & 1, -mag, mag), code >> 1, indptr), shape=(rows.size, n))
 
 
 class ProjectedStream(RecordStream):
     """Stream view applying a sparse random projection to every record.
 
-    Each batch is one sparse product with the rows of the projection matrix
-    its records use; the base may yield dense or sparse batches.  Rows are
-    drawn once, when first used, and kept for the stream's lifetime.  Each
-    term of an output entry is added in increasing input index order, as a
-    per-record sum of columns would add them.
+    A batch, dense or sparse, its columns compacted to the input indices it
+    uses, is multiplied by those indices' projection rows, drawn for the
+    batch: rows are pure, so none is kept.  An output entry adds its terms in
+    the record's input index order, as a per-record sum of columns would.
     """
 
     def __init__(self, base: RecordStream, spec: ProjectionSpec):
@@ -591,18 +596,12 @@ class ProjectedStream(RecordStream):
                 f"projection input dimension {spec.input_dim} is smaller than "
                 f"the stream dimension {base.d}"
             )
-        self.base = base
-        self.spec = spec
-        self.d = spec.output_dim
-        self._matrix = sp.csr_matrix((spec.input_dim, spec.output_dim))
-        self._drawn = np.zeros(spec.input_dim, dtype=bool)
+        self.base, self.spec, self.d = base, spec, spec.output_dim
 
     def _product(self, A: sp.csr_matrix) -> np.ndarray:
-        new = np.unique(A.indices[~self._drawn[A.indices]])
-        if new.size:
-            self._matrix = self._matrix + self.spec._rows(new)
-            self._drawn[new] = True
-        return (A @ self._matrix).toarray()
+        used, at = np.unique(A.indices, return_inverse=True)
+        A = sp.csr_matrix((A.data, at, A.indptr), shape=(A.shape[0], used.size))
+        return (A @ self.spec._rows(used)).toarray()
 
     def _iter_batches(self, batch_size: int):
         for y, X in self.base.batches(batch_size):

@@ -462,15 +462,15 @@ def _approximated_term(spec: MappingSpec) -> Term:
 
 
 def _loglik_derivs(
-    spec: MappingSpec, y: np.ndarray, s: np.ndarray, order: int = 0, lowest: int = 0
+    spec: MappingSpec, y: np.ndarray, s: np.ndarray, order: int = 0, lowest: int = 0, base=None
 ) -> list:
     """Per-record log-likelihood and its first ``order`` derivatives in ``s``.
 
     ``s`` is the linear predictor ``X @ theta``.  Entry ``k`` of the result is
     the ``k``-th derivative summed over the terms; entry 0 includes
-    ``log_base``.  By the chain rule each derivative of a term brings one
-    factor ``y**y_in_arg_power``, on top of the term's ``y**y_power``.
-    Entries below ``lowest`` are not evaluated and stay 0.0.
+    ``log_base(y)``, or ``base`` when given.  By the chain rule each derivative
+    of a term brings one factor ``y**y_in_arg_power``, on top of the term's
+    ``y**y_power``.  Entries below ``lowest`` are not evaluated and stay 0.0.
     """
     out = [0.0] * (order + 1)
     for term in spec.terms:
@@ -481,7 +481,7 @@ def _loglik_derivs(
                 v = v * y
             out[k] = out[k] + v
     if spec.log_base is not None and lowest == 0:
-        out[0] = out[0] + spec.log_base(y)
+        out[0] = out[0] + (spec.log_base(y) if base is None else base)
     return out
 
 
